@@ -1,114 +1,64 @@
-"""Hot inner loops: simple-cycle DFS and batched signature packing.
-
-The same loop bodies run either JIT-compiled through numba or as plain
-numpy-backed Python. Set TRISLITHER_NUMBA=0 to force the fallback path;
-the fallback is also selected automatically when numba is missing.
-"""
-
-import os
+"""Hot inner loops of the census: simple-cycle DFS and signature packing."""
 
 import numpy as np
 
-_flag = os.environ.get("TRISLITHER_NUMBA", "").strip().lower()
-_DISABLED = _flag in {"0", "false", "no", "off"}
-
+# There is one kernel path, plain numpy. perfbench/run.py reads this name to
+# label the path in its results.
 USING_NUMBA = False
-if not _DISABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - depends on environment
-        njit = None
-    else:
-        USING_NUMBA = True
 
 
-def _cycles_from_root_impl(root, nbr, nbr_edge, deg, n_edges, limit):
-    # Enumerate every simple cycle whose lowest vertex is `root`, as packed
-    # uint64 edge masks. Each cycle is emitted once: intermediate vertices
-    # must exceed root, and the walk must enter the cycle through the
-    # lower-indexed of root's two cycle neighbours.
-    n_vertices = deg.shape[0]
-    n_words = (n_edges + 63) // 64
-    cap = 256
-    out = np.zeros((cap, n_words), dtype=np.uint64)
+def cycles_from_root(root, nbr, nbr_edge, deg, n_edges, limit):
+    """Every simple cycle whose lowest vertex is ``root``, as boolean edge rows.
+
+    Each cycle is emitted once: intermediate vertices must exceed root, and
+    the walk must enter the cycle through the lower-indexed of root's two
+    cycle neighbours. A ``limit`` >= 0 stops after that many cycles.
+    """
+    # (neighbour, edge) steps, keeping only the vertices a cycle rooted
+    # here may visit.
+    steps = [
+        [(w, e) for w, e in zip(ws[:d], es[:d]) if w >= root]
+        for ws, es, d in zip(nbr.tolist(), nbr_edge.tolist(), deg.tolist())
+    ]
+    out = np.zeros((256, n_edges), dtype=bool)
     count = 0
-    on_path = np.zeros(n_vertices, dtype=np.bool_)
-    path_vertex = np.empty(n_vertices + 1, dtype=np.int64)
-    path_edge = np.empty(n_vertices + 1, dtype=np.int64)
-    next_branch = np.empty(n_vertices + 1, dtype=np.int64)
-    depth = 0
-    path_vertex[0] = root
-    next_branch[0] = 0
+    on_path = [False] * len(steps)
     on_path[root] = True
-    while depth >= 0:
-        v = path_vertex[depth]
-        it = next_branch[depth]
-        if it >= deg[v]:
-            on_path[v] = False
-            depth -= 1
-            continue
-        next_branch[depth] = it + 1
-        w = nbr[v, it]
-        e = nbr_edge[v, it]
-        if w == root:
-            if depth >= 2 and path_vertex[1] < v:
-                if count == cap:
-                    grown = np.zeros((cap * 2, n_words), dtype=np.uint64)
-                    grown[:cap] = out
-                    out = grown
-                    cap = cap * 2
-                for d in range(1, depth + 1):
-                    ee = path_edge[d]
-                    out[count, ee >> 6] |= np.uint64(1) << np.uint64(ee & 63)
-                out[count, e >> 6] |= np.uint64(1) << np.uint64(e & 63)
-                count += 1
-                if limit >= 0 and count >= limit:
-                    on_path[root] = False
-                    return out[:count]
-        elif w > root and not on_path[w]:
-            depth += 1
-            path_vertex[depth] = w
-            path_edge[depth] = e
-            next_branch[depth] = 0
-            on_path[w] = True
+    path_vertex = [root]
+    # path_edge[d] is the edge walked into path_vertex[d + 1].
+    path_edge: list[int] = []
+    branches = [iter(steps[root])]
+    while branches:
+        for w, e in branches[-1]:
+            if w == root:
+                if len(path_vertex) >= 3 and path_vertex[1] < path_vertex[-1]:
+                    if count == out.shape[0]:
+                        out = np.concatenate([out, np.zeros_like(out)])
+                    out[count, path_edge + [e]] = True
+                    count += 1
+                    if 0 <= limit <= count:
+                        return out[:count]
+            elif not on_path[w]:
+                on_path[w] = True
+                path_vertex.append(w)
+                path_edge.append(e)
+                branches.append(iter(steps[w]))
+                break
+        else:
+            branches.pop()
+            on_path[path_vertex.pop()] = False
+            if path_edge:
+                path_edge.pop()
     return out[:count]
 
 
-def _signature_words_impl(masks, face_edges, n_sig_words):
-    # Per-face edge counts of each cycle mask, packed two bits per face.
-    n_cycles = masks.shape[0]
-    n_faces = face_edges.shape[0]
-    out = np.zeros((n_cycles, n_sig_words), dtype=np.uint64)
-    for c in range(n_cycles):
-        for f in range(n_faces):
-            cnt = np.uint64(0)
-            for k in range(3):
-                e = face_edges[f, k]
-                bit = (masks[c, e >> 6] >> np.uint64(e & 63)) & np.uint64(1)
-                cnt += bit
-            pos = 2 * f
-            out[c, pos >> 6] |= cnt << np.uint64(pos & 63)
-    return out
+def signature_words(rows, face_edges):
+    """Per-face edge counts of each cycle row, packed two bits per face.
 
-
-if USING_NUMBA:
-    cycles_from_root = njit(cache=True, nogil=True)(_cycles_from_root_impl)
-    signature_words = njit(cache=True, nogil=True)(_signature_words_impl)
-else:
-    cycles_from_root = _cycles_from_root_impl
-    signature_words = _signature_words_impl
-
-
-def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a boolean edge vector into uint64 words (little-endian bits)."""
-    n = bits.shape[0]
-    words = np.zeros((n + 63) // 64, dtype=np.uint64)
-    idx = np.flatnonzero(bits)
-    np.bitwise_or.at(words, idx >> 6, np.uint64(1) << (idx & 63).astype(np.uint64))
-    return words
-
-
-def unpack_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
-    """Inverse of pack_bits."""
-    idx = np.arange(n_bits)
-    return ((words[idx >> 6] >> (idx & 63).astype(np.uint64)) & np.uint64(1)).astype(bool)
+    Face f takes bits 2f and 2f+1 of the little-endian byte string of its
+    row, so the rows compare as byte strings in the order of their packed
+    counts.
+    """
+    counts = rows[:, face_edges].sum(axis=2, dtype=np.uint8)
+    bits = np.stack([counts & 1, counts >> 1], axis=2).reshape(rows.shape[0], -1)
+    return np.packbits(bits, axis=1, bitorder="little")

@@ -64,7 +64,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_census(args) -> int:
     g = build_grid(args.n)
-    result = census(g, max_cycles=args.max_cycles, jobs=args.jobs)
+    result = census(g, max_cycles=args.max_cycles)
     print(f"n: {g.n}")
     print(f"cycles: {result.total_cycles}")
     print(f"distinct-signatures: {result.distinct_signatures}")
@@ -168,7 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="enumerate cycles and group by signature")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-cycles", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="directory for same-signature pair dumps")
     p.set_defaults(func=_cmd_census)
 

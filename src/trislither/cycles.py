@@ -5,7 +5,6 @@ side-sharing rewiring procedure.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -13,8 +12,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidInputError, InvalidParameterError, NotACycleError, RewireError
-from .evenalg import EdgeSet, decompose, is_totally_even
+from .evenalg import EdgeSet, _vertex_degrees, decompose, is_totally_even, permute_bits
 from .grid import Dir, Edge, Side, TriGrid, Vertex
+from .transversal import face_links, links_alternate
 
 
 @dataclass(frozen=True)
@@ -74,16 +74,14 @@ def cycle_defect(g: TriGrid, a: EdgeSet) -> str | None:
         raise InvalidInputError("edge set does not belong to this grid")
     if not a:
         return "empty"
-    sel = np.flatnonzero(a.bits)
-    ends = np.concatenate([g.u_of_edge[sel], g.v_of_edge[sel]])
-    deg = np.bincount(ends, minlength=g.num_vertices)
+    deg = _vertex_degrees(g, a.bits)
     if (deg % 2).any():
         return "odd-degree vertex"
     if (deg > 2).any():
         return "vertex degree exceeds 2"
     # All degrees are 0 or 2: the set is a disjoint union of simple cycles.
     adj: dict[int, list[int]] = {}
-    for ei in sel:
+    for ei in np.flatnonzero(a.bits):
         u, v = int(g.u_of_edge[ei]), int(g.v_of_edge[ei])
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
@@ -118,14 +116,18 @@ def signature(g: TriGrid, c: Cycle) -> Signature:
 # -- enumeration --------------------------------------------------------------
 
 
-def _root_masks(g: TriGrid, root: int, limit: int = -1) -> np.ndarray:
-    return _kernels.cycles_from_root(
-        root, g.nbr, g.nbr_edge, g.deg, g.num_edges, limit
-    )
-
-
-def _mask_to_edge_set(g: TriGrid, mask: np.ndarray) -> EdgeSet:
-    return EdgeSet(g, _kernels.unpack_bits(mask, g.num_edges))
+def _root_batches(g: TriGrid, budget: int | None) -> Iterator[np.ndarray]:
+    """Cycle rows of each root in turn, at most ``budget`` rows in all."""
+    remaining = -1 if budget is None else budget
+    for root in range(g.num_vertices):
+        if remaining == 0:
+            return
+        rows = _kernels.cycles_from_root(
+            root, g.nbr, g.nbr_edge, g.deg, g.num_edges, remaining
+        )
+        if remaining > 0:
+            remaining -= rows.shape[0]
+        yield rows
 
 
 def enumerate_cycles(g: TriGrid, limit: int | None = None) -> Iterator[Cycle]:
@@ -136,17 +138,9 @@ def enumerate_cycles(g: TriGrid, limit: int | None = None) -> Iterator[Cycle]:
     """
     if limit is not None and limit < 0:
         raise InvalidParameterError(f"limit must be >= 0, got {limit}")
-    remaining = -1 if limit is None else int(limit)
-    if remaining == 0:
-        return
-    for root in range(g.num_vertices):
-        masks = _root_masks(g, root, remaining)
-        for row in masks:
-            yield Cycle(_mask_to_edge_set(g, row))
-        if remaining >= 0:
-            remaining -= masks.shape[0]
-            if remaining <= 0:
-                return
+    for rows in _root_batches(g, limit):
+        for row in rows:
+            yield Cycle(EdgeSet(g, row))
 
 
 # -- census -------------------------------------------------------------------
@@ -172,63 +166,60 @@ class CensusResult:
         return max(self.multiplicities.values(), default=0)
 
 
+def _row_at(batches: list[np.ndarray], index: int) -> np.ndarray:
+    """Row ``index`` of the batches laid end to end."""
+    for rows in batches:
+        if index < rows.shape[0]:
+            return rows[index]
+        index -= rows.shape[0]
+
+
 def census(
     g: TriGrid,
     max_cycles: int | None = None,
-    jobs: int = 1,
     pair_cap: int = 32,
 ) -> CensusResult:
     """Group every simple cycle by signature and surface repeated ones.
 
     Signatures are packed two bits per face and keyed exactly, so equal
     keys mean equal signatures. A ``max_cycles`` budget yields a result
-    flagged as partial. ``jobs`` shards the per-root enumeration across
-    threads; the merged result does not depend on the sharding.
+    flagged as partial.
     """
     if max_cycles is not None and max_cycles < 0:
         raise InvalidParameterError(f"max_cycles must be >= 0, got {max_cycles}")
-    n_sig_words = (2 * g.num_faces + 63) // 64
-    roots = range(g.num_vertices)
     # One extra cycle past the budget distinguishes an exact fit from a cut.
-    per_root_limit = -1 if max_cycles is None else int(max_cycles) + 1
-
-    def work(root: int) -> np.ndarray:
-        return _root_masks(g, root, per_root_limit)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(work, roots))
-    else:
-        batches = [work(r) for r in roots]
-
+    budget = None if max_cycles is None else int(max_cycles) + 1
     multiplicities: dict[bytes, int] = {}
-    first_mask: dict[bytes, np.ndarray] = {}
+    # Index of each signature's first cycle. A plain int costs less memory
+    # than a row view per signature.
+    first_index: dict[bytes, int] = {}
+    batches: list[np.ndarray] = []
     keyed_pairs: list[tuple[bytes, Cycle, Cycle]] = []
     pair_cap_hit = False
     total = 0
-    budget = None if max_cycles is None else int(max_cycles)
     partial = False
-    for masks in batches:
-        if budget is not None and total + masks.shape[0] > budget:
-            masks = masks[: budget - total]
+    for rows in _root_batches(g, budget):
+        if max_cycles is not None and total + rows.shape[0] > max_cycles:
+            rows = rows[: max_cycles - total]
             partial = True
-        if masks.shape[0] == 0:
+        if rows.shape[0] == 0:
             continue
-        sig_words = _kernels.signature_words(masks, g.face_edges_idx, n_sig_words)
-        for r in range(masks.shape[0]):
-            key = sig_words[r].tobytes()
+        batches.append(rows)
+        sig_words = _kernels.signature_words(rows, g.face_edges_idx)
+        for r, words in enumerate(sig_words):
+            key = words.tobytes()
             seen = multiplicities.get(key, 0)
             multiplicities[key] = seen + 1
             if seen == 0:
-                first_mask[key] = masks[r].copy()
+                first_index[key] = total + r
             elif seen == 1:
                 if len(keyed_pairs) < pair_cap:
-                    c1 = validate_cycle(g, _mask_to_edge_set(g, first_mask[key]))
-                    c2 = validate_cycle(g, _mask_to_edge_set(g, masks[r]))
+                    c1 = validate_cycle(g, EdgeSet(g, _row_at(batches, first_index[key])))
+                    c2 = validate_cycle(g, EdgeSet(g, rows[r]))
                     keyed_pairs.append((key, c1, c2))
                 else:
                     pair_cap_hit = True
-        total += masks.shape[0]
+        total += rows.shape[0]
     keyed_pairs.sort(key=lambda item: item[0])
     return CensusResult(
         n=g.n,
@@ -284,17 +275,11 @@ def verify_pair(g: TriGrid, c1: Cycle, c2: Cycle) -> PairReport:
     diff = c1.edge_set ^ c2.edge_set
     te = is_totally_even(g, diff)
     indices = tuple(decompose(g, diff)) if te else ()
-    only1 = c1.edge_set.difference(c2.edge_set)
-    only2 = c2.edge_set.difference(c1.edge_set)
-    face_diff = diff.bits[g.face_edges_idx]
-    alternate = True
-    for fi in np.flatnonzero(face_diff.sum(axis=1) == 2):
-        es = g.face_edges_idx[fi]
-        in_diff = [int(e) for e in es if diff.bits[e]]
-        a, b = in_diff
-        if not ((only1.bits[a] and only2.bits[b]) or (only2.bits[a] and only1.bits[b])):
-            alternate = False
-            break
+    alternate = links_alternate(
+        face_links(g, diff.bits),
+        c1.edge_set.difference(c2.edge_set).bits,
+        c2.edge_set.difference(c1.edge_set).bits,
+    )
     size = len(diff)
     return PairReport(
         signatures_equal=True,
@@ -380,11 +365,7 @@ def rewire_shared_side(
         rounds += 1
         side = missing[0]
         for _ in range(spins[side]):
-            nb1 = np.empty_like(b1)
-            nb1[g.rotate_eperm] = b1
-            nb2 = np.empty_like(b2)
-            nb2[g.rotate_eperm] = b2
-            b1, b2 = nb1, nb2
+            b1, b2 = permute_bits(b1, g.rotate_eperm), permute_bits(b2, g.rotate_eperm)
         shared = b1 & b2
         j = next(
             (
@@ -403,11 +384,7 @@ def rewire_shared_side(
             _toggle(bits, g, Edge(Vertex(j - 1, 1), Dir.E))
             _toggle(bits, g, Edge(Vertex(j - 1, 1), Dir.NE))
         for _ in range((3 - spins[side]) % 3):
-            nb1 = np.empty_like(b1)
-            nb1[g.rotate_eperm] = b1
-            nb2 = np.empty_like(b2)
-            nb2[g.rotate_eperm] = b2
-            b1, b2 = nb1, nb2
+            b1, b2 = permute_bits(b1, g.rotate_eperm), permute_bits(b2, g.rotate_eperm)
         r1 = validate_cycle(g, EdgeSet(g, b1))
         r2 = validate_cycle(g, EdgeSet(g, b2))
         if signature(g, r1) != signature(g, r2):

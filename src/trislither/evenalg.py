@@ -30,6 +30,9 @@ class EdgeSet:
     __slots__ = ("grid", "bits")
 
     def __init__(self, grid: TriGrid, bits):
+        bits = np.asarray(bits)
+        if bits.dtype != bool and not np.isin(bits, (0, 1)).all():
+            raise InvalidInputError("edge bits must be 0 or 1")
         bits = np.array(bits, dtype=bool, copy=True)
         if bits.shape != (grid.num_edges,):
             raise InvalidInputError(
@@ -110,12 +113,17 @@ class EdgeSet:
 
     def apply_perm(self, perm: np.ndarray) -> "EdgeSet":
         """Image of this set under an edge permutation (index array)."""
-        out = np.empty_like(self.bits)
-        out[perm] = self.bits
-        return EdgeSet(self.grid, out)
+        return EdgeSet(self.grid, permute_bits(self.bits, perm))
 
     def __repr__(self) -> str:
         return f"EdgeSet(n={self.grid.n}, |A|={len(self)})"
+
+
+def permute_bits(bits: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Image of an edge vector under an edge permutation: bit e moves to perm[e]."""
+    out = np.empty_like(bits)
+    out[perm] = bits
+    return out
 
 
 # -- the totally even predicate ---------------------------------------------
@@ -262,10 +270,8 @@ def basis_subset(g: TriGrid, i: int) -> EdgeSet:
     """
     _check_basis_index(g, i)
     seed = _wedge_bits(g, i)
-    rot1 = np.empty_like(seed)
-    rot1[g.rotate_eperm] = seed
-    rot2 = np.empty_like(seed)
-    rot2[g.rotate_eperm] = rot1
+    rot1 = permute_bits(seed, g.rotate_eperm)
+    rot2 = permute_bits(rot1, g.rotate_eperm)
     return EdgeSet(g, seed ^ rot1 ^ rot2)
 
 
@@ -403,7 +409,7 @@ def gap_profile_doubled(n: int, indices) -> list[int]:
     doubling keeps the half-integer top gap of even n integral. All gaps
     are positive and sum to n+1 (doubled).
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise InvalidParameterError(f"grid side must be an integer >= 1, got {n!r}")
     indices = list(indices)
     for i in indices:
@@ -449,12 +455,8 @@ def check_symmetries(g: TriGrid, a: EdgeSet) -> SymmetryReport:
 
     All three hold for every totally even subset.
     """
-    mirrored = np.empty_like(a.bits)
-    mirrored[g.reflect_eperm] = a.bits
-    rotated = np.empty_like(a.bits)
-    rotated[g.rotate_eperm] = a.bits
     return SymmetryReport(
-        mirror_invariant=bool(np.array_equal(mirrored, a.bits)),
-        rotation_invariant=bool(np.array_equal(rotated, a.bits)),
+        mirror_invariant=a.apply_perm(g.reflect_eperm) == a,
+        rotation_invariant=a.apply_perm(g.rotate_eperm) == a,
         middle_free=not bool(a.bits[g.middle_edge_idx].any()),
     )

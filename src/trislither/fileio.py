@@ -22,6 +22,10 @@ from .errors import FileFormatError
 from .evenalg import EdgeSet
 from .grid import Edge, TriGrid, Vertex, build_grid
 
+# Largest grid side a file may declare. A side-256 grid takes seconds and
+# about 100 MB to build, so a larger side is refused before the build.
+MAX_SIDE = 256
+
 
 def dumps_edge_set(a: EdgeSet) -> str:
     lines = [f"n {a.grid.n}"]
@@ -49,9 +53,11 @@ def _parse_lines(path: str, text: str):
         if parts[0] == "n":
             if n is not None:
                 raise FileFormatError(path, line_no, "duplicate n line")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise FileFormatError(path, line_no, f"malformed n line: {raw!r}")
             n = int(parts[1])
+            if not 1 <= n <= MAX_SIDE:
+                raise FileFormatError(path, line_no, f"grid side {n} is outside 1..{MAX_SIDE}")
             continue
         if n is None:
             raise FileFormatError(path, line_no, "first line must declare n")
@@ -70,9 +76,8 @@ def _ints(path: str, line_no: int, parts: list[str], count: int) -> list[int]:
         raise FileFormatError(path, line_no, f"non-integer field: {' '.join(parts)!r}") from None
 
 
-def loads_edge_set(text: str, path: str = "<string>") -> EdgeSet:
-    n, records = _parse_lines(path, text)
-    g = build_grid(n)
+def _edge_records(path: str, g: TriGrid, records) -> EdgeSet:
+    """The edge set of ``edge`` records, each naming a new edge of ``g``."""
     edges: list[Edge] = []
     seen = set()
     for line_no, parts in records:
@@ -88,6 +93,11 @@ def loads_edge_set(text: str, path: str = "<string>") -> EdgeSet:
         seen.add(e)
         edges.append(e)
     return EdgeSet.from_edges(g, edges)
+
+
+def loads_edge_set(text: str, path: str = "<string>") -> EdgeSet:
+    n, records = _parse_lines(path, text)
+    return _edge_records(path, build_grid(n), records)
 
 
 def read_edge_set(path: str | os.PathLike) -> EdgeSet:
@@ -147,11 +157,9 @@ def loads_cycle(text: str, path: str = "<string>") -> Cycle:
     if not records:
         raise FileFormatError(path, 0, "cycle file has no edge or walk records")
     if kinds == {"edge"}:
-        a = loads_edge_set(text, path=path)
-        first_bad = next((ln for ln, p in records if p[0] != "edge"), None)
-        assert first_bad is None
+        a = _edge_records(path, g, records)
         try:
-            return validate_cycle(a.grid, a)
+            return validate_cycle(g, a)
         except Exception as exc:
             raise FileFormatError(path, records[0][0], str(exc)) from None
     if kinds == {"walk"}:

@@ -64,13 +64,23 @@ def build_transversal(g: TriGrid, a: EdgeSet) -> TransversalGraph:
     if not is_totally_even(g, a):
         raise InvalidInputError("transversals are defined for totally even subsets")
     nodes = tuple(int(i) for i in np.flatnonzero(a.bits))
-    links = []
-    per_face = a.bits[g.face_edges_idx]
-    for fi in np.flatnonzero(per_face.sum(axis=1) == 2):
-        e1, e2 = (int(e) for e in g.face_edges_idx[fi] if a.bits[e])
-        links.append((min(e1, e2), max(e1, e2)))
-    links.sort()
+    links = sorted(map(tuple, face_links(g, a.bits).tolist()))
     return TransversalGraph(nodes=nodes, links=tuple(links))
+
+
+def face_links(g: TriGrid, bits: np.ndarray) -> np.ndarray:
+    """One row (low, high) per finite face holding exactly two set edges."""
+    per_face = bits[g.face_edges_idx]
+    two = per_face.sum(axis=1) == 2
+    pairs = g.face_edges_idx[two][per_face[two]].reshape(-1, 2)
+    return np.sort(pairs, axis=1)
+
+
+def links_alternate(links, only1_bits: np.ndarray, only2_bits: np.ndarray) -> bool:
+    """Does every link join an edge only in one cycle to one only in the other?"""
+    links = np.asarray(links, dtype=np.int64).reshape(-1, 2)
+    a, b = links[:, 0], links[:, 1]
+    return bool(((only1_bits[a] & only2_bits[b]) | (only2_bits[a] & only1_bits[b])).all())
 
 
 def decompose_transversals(t: TransversalGraph) -> TransversalDecomposition:
@@ -135,18 +145,12 @@ def check_mod4(d: TransversalDecomposition) -> bool:
 def transversal_alternates(
     t: TransversalGraph, only1_bits: np.ndarray, only2_bits: np.ndarray
 ) -> bool:
-    """Do consecutive nodes alternate between the two cycle-only sides?"""
-    d = decompose_transversals(t)
-    for comp in d.components:
-        nodes = comp.nodes
-        pairs = list(zip(nodes, nodes[1:]))
-        if comp.kind is ComponentKind.CYCLE and len(nodes) > 1:
-            pairs.append((nodes[-1], nodes[0]))
-        for a, b in pairs:
-            ok = (only1_bits[a] and only2_bits[b]) or (only2_bits[a] and only1_bits[b])
-            if not ok:
-                return False
-    return True
+    """Do consecutive nodes alternate between the two cycle-only sides?
+
+    Consecutive nodes of a component are exactly the linked pairs, because
+    two edges share at most one face, so checking every link suffices.
+    """
+    return links_alternate(t.links, only1_bits, only2_bits)
 
 
 def alternation_check(g: TriGrid, a: EdgeSet, c1, c2) -> bool:

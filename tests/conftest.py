@@ -1,12 +1,6 @@
 import pytest
 
-from trislither import build_grid, enumerate_cycles
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # Trigger JIT compilation once so timed tests measure the work itself.
-    list(enumerate_cycles(build_grid(1)))
+from trislither import build_grid
 
 
 @pytest.fixture(scope="session")

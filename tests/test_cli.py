@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from trislither import EdgeSet, basis_subset, build_grid
@@ -72,6 +74,16 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert "bad.edges:2" in err
 
 
+def test_verify_rejects_oversized_side_fast(tmp_path, capsys):
+    path = tmp_path / "huge.edges"
+    path.write_text("n 100000\nedge 1 1 2 1\nedge 2 1 3 1\n")
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "verify", "--in", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "huge.edges:1" in err
+
+
 def test_census_t1(capsys):
     code, out, _ = run(capsys, "census", "--n", "1")
     assert code == 0
@@ -81,7 +93,7 @@ def test_census_t1(capsys):
 
 
 def test_census_budget_flag(capsys):
-    code, out, _ = run(capsys, "census", "--n", "3", "--max-cycles", "50", "--jobs", "2")
+    code, out, _ = run(capsys, "census", "--n", "3", "--max-cycles", "50")
     assert code == 0
     assert "cycles: 50" in out
     assert "partial: yes" in out

@@ -172,13 +172,6 @@ def test_census_partial_budget(g3):
     assert full.total_cycles == 110
 
 
-def test_census_jobs_equivalent(g3):
-    a = census(g3)
-    b = census(g3, jobs=4)
-    assert a.total_cycles == b.total_cycles
-    assert a.multiplicities == b.multiplicities
-
-
 def test_census_t5_finds_repeated_signatures(g5):
     r = census(g5)
     assert r.max_multiplicity == 2

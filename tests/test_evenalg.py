@@ -61,6 +61,17 @@ def test_edge_set_algebra(g5):
     assert a
 
 
+def test_edge_set_rejects_non_binary_bits(g2):
+    bits = np.zeros(g2.num_edges, dtype=np.int64)
+    bits[0] = 1
+    assert len(EdgeSet(g2, bits)) == 1
+    bits[1] = 2
+    with pytest.raises(InvalidInputError):
+        EdgeSet(g2, bits)
+    with pytest.raises(InvalidInputError):
+        EdgeSet(g2, [0.5] * g2.num_edges)
+
+
 @pytest.mark.parametrize("n,dim", [(6, 3), (1, 0), (13, 6)])
 def test_oracle_dimension_examples(n, dim):
     g = build_grid(n)
@@ -183,6 +194,8 @@ def test_gap_profile_doubled():
     assert gap_profile_doubled(12, [2, 3, 6]) == [4, 2, 6, 1]
     assert gap_profile_doubled(11, [4, 5]) == [8, 2, 2]
     assert gap_profile_doubled(9, []) == [10]
+    with pytest.raises(InvalidParameterError):
+        gap_profile_doubled(True, [])
     for n in range(1, 13):
         for indices, _ in totally_even_subsets(build_grid(n)):
             gaps = gap_profile_doubled(n, list(indices))

@@ -47,6 +47,8 @@ def test_comments_and_blank_lines_ignored():
     [
         ("edge 1 1 2 1\n", "declare n"),
         ("n x\n", "malformed n"),
+        ("n \u00b2\n", "malformed n"),
+        ("n 0\n", "outside"),
         ("n 2\nn 3\n", "duplicate n"),
         ("n 2\nedge 1 1\n", "expected 4 integers"),
         ("n 2\nedge 1 1 2 a\n", "non-integer"),
@@ -115,3 +117,27 @@ def test_cycle_dump_is_edge_form(g5):
     text = dumps_cycle(c)
     assert text.splitlines()[0] == "n 5"
     assert all(line.startswith("edge ") for line in text.splitlines()[1:])
+
+
+def test_oversized_side_rejected_before_grid_build(monkeypatch):
+    from trislither import fileio
+
+    def no_build(n):
+        raise AssertionError(f"built a side-{n} grid")
+
+    monkeypatch.setattr(fileio, "build_grid", no_build)
+    for loads in (loads_edge_set, loads_cycle):
+        with pytest.raises(FileFormatError) as exc:
+            loads(f"n {fileio.MAX_SIDE + 1}\nedge 1 1 2 1\n")
+        assert "outside" in str(exc.value)
+
+
+def test_edge_form_cycle_builds_one_grid(monkeypatch, g5):
+    from trislither import fileio
+
+    built = []
+    build = fileio.build_grid
+    monkeypatch.setattr(fileio, "build_grid", lambda n: built.append(n) or build(n))
+    c = cycle_from_walk(g5, T5_WALK_A)
+    assert loads_cycle(dumps_cycle(c)).edge_set == c.edge_set
+    assert built == [5]

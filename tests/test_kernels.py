@@ -1,37 +1,7 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
-from trislither import build_grid
+from trislither import build_grid, census
 from trislither import _kernels
-
-
-def test_pack_unpack_roundtrip():
-    rng = np.random.default_rng(7)
-    for n_bits in (1, 63, 64, 65, 200):
-        bits = rng.random(n_bits) < 0.4
-        words = _kernels.pack_bits(bits)
-        assert words.shape == ((n_bits + 63) // 64,)
-        assert np.array_equal(_kernels.unpack_bits(words, n_bits), bits)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_dispatched_kernels_match_reference_impl(n):
-    # The plain-Python bodies are the reference; the dispatched callables
-    # may be their JIT-compiled versions.
-    g = build_grid(n)
-    for root in range(g.num_vertices):
-        fast = _kernels.cycles_from_root(root, g.nbr, g.nbr_edge, g.deg, g.num_edges, -1)
-        slow = _kernels._cycles_from_root_impl(root, g.nbr, g.nbr_edge, g.deg, g.num_edges, -1)
-        assert np.array_equal(fast, slow)
-        if fast.shape[0]:
-            n_sig_words = (2 * g.num_faces + 63) // 64
-            a = _kernels.signature_words(fast, g.face_edges_idx, n_sig_words)
-            b = _kernels._signature_words_impl(fast, g.face_edges_idx, n_sig_words)
-            assert np.array_equal(a, b)
 
 
 def test_limit_truncates():
@@ -43,20 +13,27 @@ def test_limit_truncates():
     assert np.array_equal(cut, full[:3])
 
 
-def test_env_flag_selects_fallback():
-    env = dict(os.environ, TRISLITHER_NUMBA="0")
-    code = (
-        "from trislither import _kernels;"
-        "assert not _kernels.USING_NUMBA;"
-        "assert _kernels.cycles_from_root is _kernels._cycles_from_root_impl"
-    )
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+def test_signature_words_pack_two_bits_per_face():
+    g = build_grid(3)
+    rows = _kernels.cycles_from_root(0, g.nbr, g.nbr_edge, g.deg, g.num_edges, -1)
+    words = _kernels.signature_words(rows, g.face_edges_idx)
+    for row, packed in zip(rows, words):
+        expected = 0
+        for f, face in enumerate(g.face_edges_idx):
+            expected |= sum(int(row[e]) for e in face) << (2 * f)
+        assert int.from_bytes(packed.tobytes(), "little") == expected
 
 
-def test_fallback_enumerates_correctly_in_subprocess():
-    env = dict(os.environ, TRISLITHER_NUMBA="0")
-    code = (
-        "from trislither import build_grid, enumerate_cycles;"
-        "assert len(list(enumerate_cycles(build_grid(2)))) == 11"
-    )
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+def test_budgeted_census_stops_enumerating_at_budget(monkeypatch, g5):
+    enumerated = []
+    dfs = _kernels.cycles_from_root
+
+    def counting(*args):
+        rows = dfs(*args)
+        enumerated.append(rows.shape[0])
+        return rows
+
+    monkeypatch.setattr(_kernels, "cycles_from_root", counting)
+    r = census(g5, max_cycles=500)
+    assert r.partial and r.total_cycles == 500
+    assert sum(enumerated) <= 501
