@@ -11,7 +11,7 @@ import os
 import sys
 
 from .cycles import census, signature, verify_pair
-from .errors import TrislitherError
+from .errors import InvalidParameterError, TrislitherError
 from .evenalg import (
     basis_cardinality,
     basis_subset,
@@ -23,14 +23,20 @@ from .evenalg import (
     null_space_oracle,
     totally_even_violation,
 )
-from .fileio import read_cycle, read_edge_set, write_cycle, write_edge_set
-from .grid import build_grid
+from .fileio import MAX_SIDE, read_cycle, read_edge_set, write_cycle, write_edge_set
+from .grid import TriGrid, build_grid
 from .svgfig import render_svg
 from .transversal import alternation_check, build_transversal, check_mod4, decompose_transversals
 
 
+def _grid(n: int) -> TriGrid:
+    if not 1 <= n <= MAX_SIDE:
+        raise InvalidParameterError(f"--n must be in 1..{MAX_SIDE}, got {n}")
+    return build_grid(n)
+
+
 def _cmd_basis(args) -> int:
-    g = build_grid(args.n)
+    g = _grid(args.n)
     a = basis_subset(g, args.i)
     write_edge_set(args.out, a)
     print(f"n: {g.n}")
@@ -63,7 +69,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    g = build_grid(args.n)
+    if args.max_cycles is None and args.n > 5:
+        # Side 6 has 16.8 million cycles, and the census keeps each one.
+        raise InvalidParameterError(f"a census past --n 5 needs --max-cycles, got --n {args.n}")
+    g = _grid(args.n)
     result = census(g, max_cycles=args.max_cycles)
     print(f"n: {g.n}")
     print(f"cycles: {result.total_cycles}")
@@ -88,9 +97,12 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_transversal(args) -> int:
+    if (args.c1 is None) != (args.c2 is None):
+        raise InvalidParameterError("--c1 and --c2 must be given together")
     a = read_edge_set(args.infile)
     g = a.grid
     t = build_transversal(g, a)
+    svg = render_svg(g, subset=a, transversal=t, unit=args.unit_px) if args.svg_out else None
     d = decompose_transversals(t)
     sizes = d.node_counts
     mod4 = check_mod4(d)
@@ -104,15 +116,15 @@ def _cmd_transversal(args) -> int:
         indices = decompose(g, a)
         if indices and indices[0] % 2 == 1:
             print(f"note: smallest decomposition index {indices[0]} is odd (obstructed)")
-    if args.c1 and args.c2:
+    if args.c1 is not None:
         c1 = read_cycle(args.c1)
         c2 = read_cycle(args.c2)
         alt = alternation_check(g, a, c1, c2)
         print(f"alternation: {'OK' if alt else 'FAIL'}")
         ok = ok and alt
-    if args.svg_out:
+    if svg is not None:
         with open(args.svg_out, "w", encoding="ascii") as fh:
-            fh.write(render_svg(g, subset=a, transversal=t, unit=args.unit_px))
+            fh.write(svg)
         print(f"wrote: {args.svg_out}")
     return 0 if ok else 1
 
@@ -127,7 +139,7 @@ def _cmd_svg(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g = build_grid(args.n)
+    g = _grid(args.n)
     _, dim = null_space_oracle(g)
     expected = max_basis_index(g.n)
     print(f"n: {g.n}")

@@ -30,10 +30,7 @@ class EdgeSet:
     __slots__ = ("grid", "bits")
 
     def __init__(self, grid: TriGrid, bits):
-        bits = np.asarray(bits)
-        if bits.dtype != bool and not np.isin(bits, (0, 1)).all():
-            raise InvalidInputError("edge bits must be 0 or 1")
-        bits = np.array(bits, dtype=bool, copy=True)
+        bits = _binary(bits, "edge bits")
         if bits.shape != (grid.num_edges,):
             raise InvalidInputError(
                 f"bit vector of length {bits.shape} does not fit a grid with "
@@ -119,6 +116,14 @@ class EdgeSet:
         return f"EdgeSet(n={self.grid.n}, |A|={len(self)})"
 
 
+def _binary(values, what: str) -> np.ndarray:
+    """A fresh bool array of ``values``, which must all be 0 or 1."""
+    values = np.asarray(values)
+    if values.dtype != bool and not np.isin(values, (0, 1)).all():
+        raise InvalidInputError(f"{what} must be 0 or 1")
+    return values.astype(bool)
+
+
 def permute_bits(bits: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Image of an edge vector under an edge permutation: bit e moves to perm[e]."""
     out = np.empty_like(bits)
@@ -198,15 +203,10 @@ def _rref(rows: list[int], cols: Iterable[int]) -> tuple[list[int], dict[int, in
     return rows, pivots
 
 
-def _int_to_bits(value: int, n_bits: int) -> np.ndarray:
-    bits = np.zeros(n_bits, dtype=bool)
-    i = 0
-    while value:
-        if value & 1:
-            bits[i] = True
-        value >>= 1
-        i += 1
-    return bits
+def _int_bits(value: int, n_bits: int) -> np.ndarray:
+    """The low ``n_bits`` bits of a non-negative int, least significant first."""
+    raw = np.frombuffer(value.to_bytes((n_bits + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n_bits, bitorder="little").view(bool)
 
 
 def null_space_oracle(g: TriGrid) -> tuple[list[EdgeSet], int]:
@@ -225,7 +225,7 @@ def null_space_oracle(g: TriGrid) -> tuple[list[EdgeSet], int]:
         for pc, pr in pivots.items():
             if rows[pr] & cbit:
                 vec |= 1 << pc
-        basis.append(EdgeSet(g, _int_to_bits(vec, n_edges)))
+        basis.append(EdgeSet(g, _int_bits(vec, n_edges)))
     return basis, len(free_cols)
 
 
@@ -324,74 +324,54 @@ def totally_even_subsets(g: TriGrid) -> Iterator[tuple[tuple[int, ...], EdgeSet]
 # -- bottom-side propagation --------------------------------------------------
 
 
-class _BottomSolver:
-    """Pre-eliminated parity system with the bottom edges as parameters."""
-
-    def __init__(self, g: TriGrid):
-        self.g = g
-        bottom_cols = [int(c) for c in g.bottom_edge_idx]
-        bottom_set = set(bottom_cols)
-        other_cols = [c for c in range(g.num_edges) if c not in bottom_set]
-        rows, pivots = _rref(_constraint_rows(g), other_cols)
-        other_mask = 0
-        for c in other_cols:
-            other_mask |= 1 << c
-        if len(pivots) != len(other_cols):
-            raise RuntimeError("non-bottom edges are not uniquely determined")
-        self.bottom_cols = bottom_cols
-        self.pivot_of_col = {c: rows[r] for c, r in pivots.items()}
-        self.check_rows = [
-            row for k, row in enumerate(rows) if k >= len(pivots) and row
-        ]
-
-    def _pattern_mask(self, pattern: np.ndarray) -> int:
-        mask = 0
-        for k, c in enumerate(self.bottom_cols):
-            if pattern[k]:
-                mask |= 1 << c
-        return mask
-
-    def feasible(self, pattern: np.ndarray) -> bool:
-        pmask = self._pattern_mask(pattern)
-        return all((row & pmask).bit_count() % 2 == 0 for row in self.check_rows)
-
-    def solve(self, pattern: np.ndarray) -> np.ndarray | None:
-        pmask = self._pattern_mask(pattern)
-        for row in self.check_rows:
-            if (row & pmask).bit_count() % 2:
-                return None
-        bits = np.zeros(self.g.num_edges, dtype=bool)
-        for k, c in enumerate(self.bottom_cols):
-            bits[c] = bool(pattern[k])
-        for c, row in self.pivot_of_col.items():
-            bits[c] = bool((row & pmask).bit_count() % 2)
-        return bits
-
-
-def _bottom_solver(g: TriGrid) -> _BottomSolver:
-    solver = g._cache.get("bottom_solver")
-    if solver is None:
-        solver = _BottomSolver(g)
-        g._cache["bottom_solver"] = solver
-    return solver
-
-
 def propagate_from_bottom(g: TriGrid, pattern) -> EdgeSet | None:
     """The unique totally even subset with the given bottom side, or None.
 
     ``pattern`` holds one bit per bottom edge, ordered left to right. A
     pattern is feasible exactly when it is mirror-symmetric and, for odd n,
     leaves the central bottom edge unset.
+
+    One sweep fixes the edges row by row from the bottom, each by one vertex
+    or face parity constraint, so any totally even subset with this bottom
+    is the output; ``is_totally_even`` on it decides whether one exists.
     """
-    pattern = np.asarray(pattern, dtype=bool)
+    pattern = _binary(pattern, "bottom pattern bits")
     if pattern.shape != (g.n,):
         raise InvalidInputError(
             f"bottom pattern must have length n={g.n}, got shape {pattern.shape}"
         )
-    bits = _bottom_solver(g).solve(pattern)
-    if bits is None:
-        return None
-    return EdgeSet(g, bits)
+    n = g.n
+    h = int.from_bytes(np.packbits(pattern, bitorder="little").tobytes(), "little")
+    inc = edges = done = 0
+    order = []
+    for k in range(n, 0, -1):
+        # Row n+1-k has k up faces; bit x-1 stands for position x. h holds
+        # the horizontal edges and inc the parity each vertex gets from
+        # below, so c is what its NE edge a and NW edge b must add up to.
+        # Up face x gives b_(x+1) = b_x ^ h_x ^ c_x from b_1 = 0: a prefix
+        # XOR, done by doubling shifts.
+        mask = (1 << k) - 1
+        c = inc ^ h ^ (h << 1)
+        b = (h ^ c) & mask
+        shift = 1
+        while shift < k:
+            b ^= b << shift
+            shift <<= 1
+        b = (b & mask) << 1
+        if (b ^ c) >> k & 1:
+            return None  # the row's last vertex has no NE edge to even it
+        a = (c ^ b) & mask
+        edges |= (h | (a << k) | (b >> 1 << 2 * k)) << done
+        done += 3 * k
+        # Up faces alternate with down faces and hold (E, NE, NW of x+1).
+        start = n * n - k * k
+        order.append(g.face_edges_idx[start:start + 2 * k - 1:2].T.ravel())
+        h = (c >> 1) & (mask >> 1)  # down face x: the edge above is c_(x+1)
+        inc = a ^ (b >> 1)
+    bits = np.zeros(g.num_edges, dtype=bool)
+    bits[np.concatenate(order)] = _int_bits(edges, done)
+    result = EdgeSet(g, bits)
+    return result if is_totally_even(g, result) else None
 
 
 def bottom_pattern(g: TriGrid, a: EdgeSet) -> np.ndarray:

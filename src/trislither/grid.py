@@ -115,7 +115,6 @@ class TriGrid:
         self._build_adjacency()
         self._build_sides()
         self._build_symmetries()
-        self._cache: dict = {}
 
     # -- construction ------------------------------------------------------
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import InvalidParameterError
 from .evenalg import EdgeSet
 from .grid import TriGrid, Vertex
 from .transversal import TransversalGraph
@@ -31,6 +32,8 @@ def render_svg(
     transversal: TransversalGraph | None = None,
     unit: float = 40.0,
 ) -> str:
+    if not (math.isfinite(unit) and unit > 0):
+        raise InvalidParameterError(f"unit must be a finite length > 0, got {unit!r}")
     margin = 0.6 * unit
     height_units = g.n * _S3H
 

@@ -121,6 +121,29 @@ def test_bottom_side_determines_subset():
     _report("bottom-side propagation: unique and exactly characterized, n=1..12", t.elapsed)
 
 
+@pytest.mark.parametrize("n", [64, 128])
+def test_bottom_propagation_past_exhaustive_sizes(n):
+    # The wedge construction behind recompose is an independent path.
+    g = build_grid(n)
+    rng = np.random.default_rng(n)
+    half = n // 2
+    solve_s = 0.0
+    for _ in range(3):
+        left = rng.integers(0, 2, half).astype(bool)
+        pattern = np.concatenate([left, np.zeros(n % 2, dtype=bool), left[::-1]])
+        flipped = pattern.copy()
+        flipped[rng.integers(n)] ^= True
+        with _timer() as t:
+            a = propagate_from_bottom(g, pattern)
+            none = propagate_from_bottom(g, flipped)
+        solve_s += t.elapsed
+        assert a == recompose(g, [i for i in range(1, half + 1) if left[i - 1]])
+        assert none is None
+    if n == 128:
+        assert solve_s < 1.0
+    _report(f"bottom propagation matches recompose and refuses flips, n={n}", solve_s)
+
+
 def test_reference_pair_reproduction():
     g5 = build_grid(5)
     with _timer() as t:

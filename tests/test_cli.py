@@ -3,8 +3,9 @@ import time
 import pytest
 
 from trislither import EdgeSet, basis_subset, build_grid
+from trislither import cli
 from trislither.cli import main
-from trislither.fileio import read_edge_set, write_cycle, write_edge_set
+from trislither.fileio import MAX_SIDE, read_edge_set, write_cycle, write_edge_set
 
 from refcycles import t5_pair
 
@@ -82,6 +83,38 @@ def test_verify_rejects_oversized_side_fast(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2
     assert "huge.edges:1" in err
+
+
+@pytest.fixture
+def no_grid_build(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"a side-{n} grid was built")
+
+    monkeypatch.setattr(cli, "build_grid", refuse)
+
+
+@pytest.mark.parametrize("n", ["0", "-3", str(MAX_SIDE + 1), "100000"])
+@pytest.mark.parametrize(
+    "argv",
+    [["basis", "--i", "1", "--out", "unused.edges"], ["census", "--max-cycles", "5"], ["oracle"]],
+)
+def test_side_out_of_range_rejected_before_grid_build(capsys, no_grid_build, argv, n):
+    code, _, err = run(capsys, *argv, "--n", n)
+    assert code == 2
+    assert f"--n must be in 1..{MAX_SIDE}" in err
+
+
+def test_whole_census_past_side_5_needs_budget(capsys, no_grid_build):
+    code, _, err = run(capsys, "census", "--n", "6")
+    assert code == 2
+    assert "--max-cycles" in err
+
+
+def test_budgeted_census_past_side_5(capsys):
+    code, out, _ = run(capsys, "census", "--n", "6", "--max-cycles", "10")
+    assert code == 0
+    assert "cycles: 10" in out
+    assert "partial: yes" in out
 
 
 def test_census_t1(capsys):
@@ -163,6 +196,19 @@ def test_transversal_with_pair_and_svg(tmp_path, capsys, g5):
     assert text.count('class="transversal"') == 21
 
 
+@pytest.mark.parametrize("flag", ["--c1", "--c2"])
+def test_transversal_lone_cycle_is_usage_error(tmp_path, capsys, g5, flag):
+    c1, c2 = t5_pair(g5)
+    a_path = tmp_path / "a.edges"
+    write_edge_set(a_path, c1.edge_set ^ c2.edge_set)
+    c_path = tmp_path / "c.cycle"
+    write_cycle(c_path, c1)
+    code, out, err = run(capsys, "transversal", "--in", str(a_path), flag, str(c_path))
+    assert code == 2
+    assert "--c1 and --c2 must be given together" in err
+    assert out == ""
+
+
 def test_svg_empty_grid(tmp_path, capsys, g3):
     path = tmp_path / "a.edges"
     write_edge_set(path, EdgeSet.empty(g3))
@@ -192,6 +238,30 @@ def test_svg_unit_scale_changes_output(tmp_path, capsys, g3):
     run(capsys, "svg", "--in", str(path), "--out", str(p1))
     run(capsys, "svg", "--in", str(path), "--out", str(p2), "--unit-px", "20")
     assert p1.read_bytes() != p2.read_bytes()
+
+
+@pytest.mark.parametrize("unit", ["nan", "inf", "-5", "0"])
+def test_svg_rejects_bad_unit(tmp_path, capsys, g3, unit):
+    path = tmp_path / "a.edges"
+    write_edge_set(path, EdgeSet.empty(g3))
+    out_path = tmp_path / "fig.svg"
+    code, _, err = run(capsys, "svg", "--in", str(path), "--out", str(out_path), "--unit-px", unit)
+    assert code == 2
+    assert "unit must be a finite length > 0" in err
+    assert not out_path.exists()
+
+
+def test_transversal_rejects_bad_unit_before_reporting(tmp_path, capsys, g5):
+    path = tmp_path / "a.edges"
+    write_edge_set(path, basis_subset(g5, 2))
+    svg_path = tmp_path / "fig.svg"
+    code, out, err = run(
+        capsys, "transversal", "--in", str(path), "--svg-out", str(svg_path), "--unit-px", "nan"
+    )
+    assert code == 2
+    assert "unit must be a finite length > 0" in err
+    assert out == ""
+    assert not svg_path.exists()
 
 
 def test_oracle_command(capsys):

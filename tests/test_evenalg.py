@@ -157,6 +157,9 @@ def test_propagate_examples(g5):
     assert propagate_from_bottom(g5, [0, 1, 0, 0, 0]) is None
     with pytest.raises(InvalidInputError):
         propagate_from_bottom(g5, [0, 1, 0])
+    for pattern in ([0, 2, 0, 2, 0], [0, 0.5, 0, -1, 0], [0, np.nan, 0, 1, 0]):
+        with pytest.raises(InvalidInputError):
+            propagate_from_bottom(g5, pattern)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
