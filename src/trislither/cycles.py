@@ -314,12 +314,8 @@ def zigzag_edges(g: TriGrid, i: int) -> EdgeSet:
     from .evenalg import _check_basis_index
 
     _check_basis_index(g, i)
-    picked = [
-        e
-        for e in g.edges
-        if e.dir in (Dir.E, Dir.NE) and e.base.x + e.base.y == i + 1
-    ]
-    return EdgeSet.from_edges(g, picked)
+    x, y = g.vertex_xy[g.u_of_edge].T
+    return EdgeSet(g, (g.edge_dir != Dir.NW) & (x + y == i + 1))
 
 
 # -- side-sharing rewiring ------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .grid import Dir, Edge, TriGrid
+from .grid import Dir, Edge, Face, TriGrid, Vertex, _face_layout
 
 
 class EdgeSet:
@@ -146,12 +146,13 @@ def totally_even_violation(g: TriGrid, a: EdgeSet) -> str | None:
     deg = _vertex_degrees(g, a.bits)
     odd = np.flatnonzero(deg % 2)
     if odd.size:
-        v = g.vertices[odd[0]]
+        v = Vertex(*g.vertex_xy[odd[0]].tolist())
         return f"vertex {v} has odd incidence ({deg[odd[0]]})"
     face_counts = a.bits[g.face_edges_idx].sum(axis=1)
     bad = np.flatnonzero(face_counts % 2)
     if bad.size:
-        return f"face {g.faces[bad[0]]} contains {face_counts[bad[0]]} edges"
+        x, y, up = (int(a[bad[0]]) for a in _face_layout(g.n))
+        return f"face {Face(Vertex(x, y), bool(up))} contains {face_counts[bad[0]]} edges"
     return None
 
 
@@ -249,17 +250,11 @@ def _wedge_bits(g: TriGrid, i: int) -> np.ndarray:
     # Horizontal and up-left edges clipped to the corner band x+y >= i+1,
     # x small, y bounded; the seed whose three rotated copies combine into
     # the basis subset.
-    bits = np.zeros(g.num_edges, dtype=bool)
-    n = g.n
-    for ei, e in enumerate(g.edges):
-        x, y = e.base.x, e.base.y
-        if e.dir == Dir.E:
-            if 1 <= x <= i and x + y >= i + 1 and y <= n + 2 - i:
-                bits[ei] = True
-        elif e.dir == Dir.NW:
-            if 2 <= x <= i + 1 and x + y >= i + 1 and y <= n + 1 - i:
-                bits[ei] = True
-    return bits
+    x, y = g.vertex_xy[g.u_of_edge].T
+    n, d = g.n, g.edge_dir
+    horizontal = (d == Dir.E) & (x <= i) & (y <= n + 2 - i)
+    up_left = (d == Dir.NW) & (x <= i + 1) & (y <= n + 1 - i)
+    return (horizontal | up_left) & (x + y >= i + 1)
 
 
 def basis_subset(g: TriGrid, i: int) -> EdgeSet:

@@ -17,23 +17,24 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from .cycles import Cycle, validate_cycle
 from .errors import FileFormatError
 from .evenalg import EdgeSet
 from .grid import Edge, TriGrid, Vertex, build_grid
 
-# Largest grid side a file may declare. A side-256 grid takes seconds and
-# about 100 MB to build, so a larger side is refused before the build.
+# Largest grid side a file may declare. A side-256 grid takes about 0.1 s
+# and 35 MB to build and every later step scales with the square of the
+# side, so a larger side is refused before the build.
 MAX_SIDE = 256
 
 
 def dumps_edge_set(a: EdgeSet) -> str:
-    lines = [f"n {a.grid.n}"]
-    idx = sorted(a.grid.edge_index(e) for e in a.edges())
-    for ei in idx:
-        e = a.grid.edges[ei]
-        u, v = e.endpoints
-        lines.append(f"edge {u.x} {u.y} {v.x} {v.y}")
+    g = a.grid
+    idx = np.flatnonzero(a.bits)
+    ends = np.hstack([g.vertex_xy[g.u_of_edge[idx]], g.vertex_xy[g.v_of_edge[idx]]])
+    lines = [f"n {g.n}"] + [f"edge {x1} {y1} {x2} {y2}" for x1, y1, x2, y2 in ends.tolist()]
     return "\n".join(lines) + "\n"
 
 

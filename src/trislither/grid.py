@@ -14,16 +14,23 @@ directions:
 
 which makes edge equality bitwise and gives a perfect hash
 3 * vertex_index + direction for flat storage.
+
+Index layout: vertices are numbered row by row from the bottom, left to
+right within a row; edges in the order of that hash (by base vertex, then
+direction); faces row by row, by anchor x, an up-face before the down-face
+at the same anchor. A face lists its edges as the corner pairs (c0, c1),
+(c0, c2), (c1, c2) of ``Face.corners``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidEdgeError, InvalidParameterError
+from .errors import InvalidEdgeError, InvalidInputError, InvalidParameterError
 
 
 class Dir(IntEnum):
@@ -39,6 +46,7 @@ class Dir(IntEnum):
 
 
 _DELTAS = {Dir.E: (1, 0), Dir.NE: (0, 1), Dir.NW: (-1, 1)}
+_DIR_OF_DELTA = {delta: d for d, delta in _DELTAS.items()}
 
 
 class Side(Enum):
@@ -98,169 +106,163 @@ class Face:
         return f"{'up' if self.up else 'down'}@{self.anchor}"
 
 
+def _vertex_id(n, x, y):
+    # Rows 1 .. y-1 hold n+1, n, ..., n+3-y vertices. Works on ints and int arrays.
+    return (y - 1) * (2 * n + 4 - y) // 2 + x - 1
+
+
+def _face_layout(n: int):
+    """Anchor x, anchor y and up flag of every face, in index order; row y
+    starts after the (y-1)(2n+1-y) faces of rows 1 .. y-1."""
+    y = np.repeat(np.arange(1, n + 1), np.arange(2 * n - 1, 0, -2))
+    k = np.arange(n * n) - (y - 1) * (2 * n + 1 - y)
+    return k // 2 + 1, y, k % 2 == 0
+
+
 class TriGrid:
     """Triangular grid of side n with full incidence and symmetry maps.
 
-    Instances are immutable after construction and safe to share between
-    threads; every operation on them is a pure function.
+    The int64 index arrays are the storage, computed by index arithmetic
+    on vertex coordinates. ``vertices``, ``edges`` and ``faces`` are tuples
+    of objects built from them on first use. Instances are immutable after
+    construction and safe to share between threads; every operation on
+    them is a pure function.
     """
 
     def __init__(self, n: int):
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
             raise InvalidParameterError(f"grid side must be an integer >= 1, got {n!r}")
-        self.n = int(n)
-        self._build_vertices()
-        self._build_edges()
-        self._build_faces()
-        self._build_adjacency()
-        self._build_sides()
-        self._build_symmetries()
+        self.n = n = int(n)
+        y = np.repeat(np.arange(1, n + 2), np.arange(n + 1, 0, -1))
+        x = np.arange(y.size) - _vertex_id(n, 1, y) + 1
+        self.vertex_xy = np.stack([x, y], axis=1)
 
-    # -- construction ------------------------------------------------------
+        # Edge slot 3*vertex + direction. E and NE leave every vertex but the
+        # last of its row; NW leaves every vertex but the first.
+        last = x == n + 2 - y
+        present = np.stack([~last, ~last, x >= 2], axis=1).ravel()
+        self.edge_slot = np.full(present.size, -1, dtype=np.int64)
+        self.edge_slot[present] = np.arange(np.count_nonzero(present))
+        slots = np.flatnonzero(present)
+        self.u_of_edge, self.edge_dir = slots // 3, slots % 3
+        ux, uy = x[self.u_of_edge], y[self.u_of_edge]
+        dx, dy = np.array([_DELTAS[d] for d in Dir]).T[:, self.edge_dir]
+        vx, vy = ux + dx, uy + dy
+        self.v_of_edge = _vertex_id(n, vx, vy)
 
-    def _build_vertices(self) -> None:
-        n = self.n
-        self.vertices: list[Vertex] = [
-            Vertex(x, y) for y in range(1, n + 2) for x in range(1, n + 3 - y)
-        ]
-        self._vidx = {v: i for i, v in enumerate(self.vertices)}
+        def slot(v, d):
+            return self.edge_slot[3 * v + d]
 
-    def _build_edges(self) -> None:
-        edges: list[Edge] = []
-        for v in self.vertices:
-            for d in Dir:
-                e = Edge(v, d)
-                if self.has_vertex(e.other.x, e.other.y) and self._edge_base_ok(e):
-                    edges.append(e)
-        self.edges = edges
-        self._eidx = {e: i for i, e in enumerate(edges)}
-        self.u_of_edge = np.array([self._vidx[e.base] for e in edges], dtype=np.int64)
-        self.v_of_edge = np.array([self._vidx[e.other] for e in edges], dtype=np.int64)
-
-    @staticmethod
-    def _edge_base_ok(e: Edge) -> bool:
-        # NW edges need x >= 2 so the other endpoint stays in the grid;
-        # validity of E and NE follows from the endpoint check alone.
-        return e.dir != Dir.NW or e.base.x >= 2
-
-    def _build_faces(self) -> None:
-        n = self.n
-        faces: list[Face] = []
-        for y in range(1, n + 1):
-            for x in range(1, n + 2 - y):
-                faces.append(Face(Vertex(x, y), up=True))
-                if x <= n - y:
-                    faces.append(Face(Vertex(x, y), up=False))
-        self.faces = faces
-        self._fidx = {f: i for i, f in enumerate(faces)}
-        triples = []
-        for f in faces:
-            x, y = f.anchor.x, f.anchor.y
-            if f.up:
-                es = (Edge(Vertex(x, y), Dir.E),
-                      Edge(Vertex(x, y), Dir.NE),
-                      Edge(Vertex(x + 1, y), Dir.NW))
-            else:
-                es = (Edge(Vertex(x + 1, y), Dir.NW),
-                      Edge(Vertex(x + 1, y), Dir.NE),
-                      Edge(Vertex(x, y + 1), Dir.E))
-            triples.append([self._eidx[e] for e in es])
-        self.face_edges_idx = np.array(triples, dtype=np.int64)
-        counts = np.zeros(len(self.edges), dtype=np.int64)
-        faces_of_edge: list[list[int]] = [[] for _ in self.edges]
-        for fi, triple in enumerate(triples):
-            for ei in triple:
-                counts[ei] += 1
-                faces_of_edge[ei].append(fi)
-        self.edge_face_count = counts
-        self._faces_of_edge = [tuple(fs) for fs in faces_of_edge]
-        self.boundary_edge_mask = counts == 1
-
-    def _build_adjacency(self) -> None:
-        per_vertex: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
-        for ei, e in enumerate(self.edges):
-            ui, vi = self.u_of_edge[ei], self.v_of_edge[ei]
-            per_vertex[ui].append((vi, ei))
-            per_vertex[vi].append((ui, ei))
-        self.vertex_edges_idx = [
-            np.array(sorted(ei for _, ei in incident), dtype=np.int64)
-            for incident in per_vertex
-        ]
-        max_deg = max(len(inc) for inc in per_vertex)
-        nv = len(self.vertices)
-        self.nbr = np.full((nv, max_deg), -1, dtype=np.int64)
-        self.nbr_edge = np.full((nv, max_deg), -1, dtype=np.int64)
-        self.deg = np.zeros(nv, dtype=np.int64)
-        for vi, incident in enumerate(per_vertex):
-            incident.sort()
-            self.deg[vi] = len(incident)
-            for k, (wi, ei) in enumerate(incident):
-                self.nbr[vi, k] = wi
-                self.nbr_edge[vi, k] = ei
-
-    def _build_sides(self) -> None:
-        n = self.n
-        self._sides = {
-            Side.BOTTOM: [Edge(Vertex(i, 1), Dir.E) for i in range(1, n + 1)],
-            Side.LEFT: [Edge(Vertex(1, j), Dir.NE) for j in range(1, n + 1)],
-            Side.RIGHT: [Edge(Vertex(n + 2 - j, j), Dir.NW) for j in range(1, n + 1)],
-        }
-        self.bottom_edge_idx = np.array(
-            [self._eidx[e] for e in self._sides[Side.BOTTOM]], dtype=np.int64
+        fx, fy, up = _face_layout(n)
+        a = _vertex_id(n, fx, fy)
+        right, above = a + 1, _vertex_id(n, fx, fy + 1)
+        self.face_edges_idx = np.where(
+            up[:, None],
+            np.stack([slot(a, Dir.E), slot(a, Dir.NE), slot(right, Dir.NW)], axis=1),
+            np.stack([slot(right, Dir.NW), slot(right, Dir.NE), slot(above, Dir.E)], axis=1),
         )
+        self.edge_face_count = np.bincount(self.face_edges_idx.ravel(), minlength=slots.size)
+        self.boundary_edge_mask = self.edge_face_count == 1
 
-    def _build_symmetries(self) -> None:
-        self.reflect_eperm = self._edge_perm(self.reflect_vertex)
-        self.rotate_eperm = self._edge_perm(self.rotate_vertex)
+        # Both ends of every edge; each vertex lists its neighbours in vertex order.
+        ends = np.concatenate([self.u_of_edge, self.v_of_edge])
+        others = np.concatenate([self.v_of_edge, self.u_of_edge])
+        by_nbr = np.lexsort((others, ends))
+        self.deg = np.bincount(ends, minlength=y.size)
+        rows = ends[by_nbr]
+        cols = np.arange(ends.size) - (np.cumsum(self.deg) - self.deg)[rows]
+        self.nbr = np.full((y.size, self.deg.max()), -1, dtype=np.int64)
+        self.nbr_edge = np.full_like(self.nbr, -1)
+        self.nbr[rows, cols] = others[by_nbr]
+        self.nbr_edge[rows, cols] = by_nbr % slots.size
+
+        self.reflect_eperm = self._edge_ids(n + 3 - uy - ux, uy, n + 3 - vy - vx, vy)
+        self.rotate_eperm = self._edge_ids(uy, n + 3 - ux - uy, vy, n + 3 - vx - vy)
         # Edges crossed by the vertical symmetry axis: horizontal edges
         # whose endpoints are swapped by the reflection, i.e. 2x + y = n + 2.
-        self.middle_edge_idx = np.array(
-            [
-                self._eidx[e]
-                for e in self.edges
-                if e.dir == Dir.E and 2 * e.base.x + e.base.y == self.n + 2
-            ],
-            dtype=np.int64,
-        )
+        self.middle_edge_idx = np.flatnonzero((self.edge_dir == Dir.E) & (2 * ux + uy == n + 2))
+        self.bottom_edge_idx = self.side_edge_indices(Side.BOTTOM)
 
-    def _edge_perm(self, vmap) -> np.ndarray:
-        perm = np.empty(len(self.edges), dtype=np.int64)
-        for ei, e in enumerate(self.edges):
-            image = self.edge_between(vmap(e.base), vmap(e.other))
-            perm[ei] = self._eidx[image]
-        return perm
+    def _edge_ids(self, ax, ay, bx, by) -> np.ndarray:
+        """Indices of the edges joining vertex arrays a and b, which must be adjacent."""
+        flip = (by < ay) | ((by == ay) & (bx < ax))
+        ax, ay, bx, by = (np.where(flip, q, p) for p, q in ((ax, bx), (ay, by), (bx, ax), (by, ay)))
+        # The base now lies below or left of the tip: E, NE, NW = 0, 1, 2 = dy + (dx < 0).
+        return self.edge_slot[3 * _vertex_id(self.n, ax, ay) + (by - ay) + (bx < ax)]
+
+    # -- object views ------------------------------------------------------
+
+    @cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        return tuple(Vertex(x, y) for x, y in self.vertex_xy.tolist())
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        vs, dirs, us = self.vertices, tuple(Dir), self.u_of_edge.tolist()
+        return tuple(Edge(vs[u], dirs[d]) for u, d in zip(us, self.edge_dir.tolist()))
+
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        fx, fy, up = (a.tolist() for a in _face_layout(self.n))
+        return tuple(Face(Vertex(x, y), u) for x, y, u in zip(fx, fy, up))
+
+    @cached_property
+    def vertex_edges_idx(self) -> tuple[np.ndarray, ...]:
+        """The edges of each vertex, in edge order."""
+        rows = np.sort(self.nbr_edge, axis=1)  # the -1 padding sorts first
+        k = rows.shape[1]
+        return tuple(row[k - d:] for row, d in zip(rows, self.deg.tolist()))
+
+    @cached_property
+    def _faces_of_edge(self) -> tuple[tuple[int, ...], ...]:
+        # A stable sort keeps each edge's faces in index order.
+        faces = (np.argsort(self.face_edges_idx.ravel(), kind="stable") // 3).tolist()
+        ends = np.cumsum(self.edge_face_count).tolist()
+        return tuple(tuple(faces[a:b]) for a, b in zip([0] + ends[:-1], ends))
 
     # -- lookups -----------------------------------------------------------
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.vertex_xy)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.u_of_edge)
 
     @property
     def num_faces(self) -> int:
-        return len(self.faces)
+        return len(self.face_edges_idx)
 
     def has_vertex(self, x: int, y: int) -> bool:
         return 1 <= y <= self.n + 1 and 1 <= x <= self.n + 2 - y
 
     def vertex_index(self, v: Vertex) -> int:
-        return self._vidx[v]
+        if not self.has_vertex(v.x, v.y):
+            raise InvalidInputError(f"vertex {v} is not in the side-{self.n} grid")
+        return _vertex_id(self.n, v.x, v.y)
+
+    def _find_edge(self, e: Edge) -> int:
+        """Index of edge ``e``, or -1 when it is not an edge of this grid."""
+        x, y = e.base.x, e.base.y
+        if not self.has_vertex(x, y):
+            return -1
+        return int(self.edge_slot[3 * _vertex_id(self.n, x, y) + e.dir])
 
     def edge_index(self, e: Edge) -> int:
-        try:
-            return self._eidx[e]
-        except KeyError:
-            raise InvalidEdgeError(f"edge {e} is not in the side-{self.n} grid") from None
+        i = self._find_edge(e)
+        if i < 0:
+            raise InvalidEdgeError(f"edge {e} is not in the side-{self.n} grid")
+        return i
 
     def has_edge(self, e: Edge) -> bool:
-        return e in self._eidx
+        return self._find_edge(e) >= 0
 
     def face_index(self, f: Face) -> int:
-        return self._fidx[f]
+        n, x, y, down = self.n, f.anchor.x, f.anchor.y, not f.up
+        if not (1 <= y <= n and 1 <= x <= n + 1 - y - down):
+            raise InvalidInputError(f"face {f} is not in the side-{n} grid")
+        return (y - 1) * (2 * n + 1 - y) + 2 * (x - 1) + down
 
     def edge_between(self, a, b) -> Edge:
         """The canonical edge joining two adjacent vertices.
@@ -269,29 +271,33 @@ class TriGrid:
         """
         a = a if isinstance(a, Vertex) else Vertex(*a)
         b = b if isinstance(b, Vertex) else Vertex(*b)
-        for base, tip in ((a, b), (b, a)):
-            delta = (tip.x - base.x, tip.y - base.y)
-            for d, dd in _DELTAS.items():
-                if delta == dd:
-                    e = Edge(base, d)
-                    if e in self._eidx:
-                        return e
-        raise InvalidEdgeError(f"{a} and {b} are not adjacent in the side-{self.n} grid")
+        # Every direction points up, or right along a row.
+        base, tip = (b, a) if (b.y, b.x) < (a.y, a.x) else (a, b)
+        d = _DIR_OF_DELTA.get((tip.x - base.x, tip.y - base.y))
+        if d is None or not (self.has_vertex(base.x, base.y) and self.has_vertex(tip.x, tip.y)):
+            raise InvalidEdgeError(f"{a} and {b} are not adjacent in the side-{self.n} grid")
+        return Edge(base, d)
 
     def vertex_edges(self, v: Vertex) -> list[Edge]:
-        return [self.edges[i] for i in self.vertex_edges_idx[self._vidx[v]]]
+        return [self.edges[i] for i in self.vertex_edges_idx[self.vertex_index(v)]]
 
     def face_edges(self, f: Face) -> list[Edge]:
-        return [self.edges[i] for i in self.face_edges_idx[self._fidx[f]]]
+        return [self.edges[i] for i in self.face_edges_idx[self.face_index(f)]]
 
     def edge_faces(self, e: Edge) -> list[Face]:
         return [self.faces[i] for i in self._faces_of_edge[self.edge_index(e)]]
 
     def side_edges(self, side: Side) -> list[Edge]:
-        return list(self._sides[side])
+        return [self.edges[i] for i in self.side_edge_indices(side)]
 
     def side_edge_indices(self, side: Side) -> np.ndarray:
-        return np.array([self._eidx[e] for e in self._sides[side]], dtype=np.int64)
+        n, j = self.n, np.arange(1, self.n + 1)
+        x, y, d = {
+            Side.BOTTOM: (j, 1, Dir.E),
+            Side.LEFT: (1, j, Dir.NE),
+            Side.RIGHT: (n + 2 - j, j, Dir.NW),
+        }[side]
+        return self.edge_slot[3 * _vertex_id(n, x, y) + d]
 
     @property
     def middle_edges(self) -> list[Edge]:

@@ -35,6 +35,15 @@ def test_single_edge_is_not(g5):
     assert "odd incidence" in totally_even_violation(g5, a)
 
 
+def test_odd_face_is_named_without_object_views():
+    g = build_grid(7)
+    # The boundary of down@(2,2): every vertex is even, and the first odd
+    # face in index order is up@(2,2), which holds one of its edges.
+    a = EdgeSet.from_pairs(g, [((3, 2), (2, 3)), ((3, 2), (3, 3)), ((2, 3), (3, 3))])
+    assert totally_even_violation(g, a) == "face up@(2,2) contains 1 edges"
+    assert not {"vertices", "edges", "faces"} & set(vars(g))
+
+
 def test_hex_ring_fixture_is_totally_even(g6):
     ring = cycle_from_walk(g6, T6_HEX_RING_WALK).edge_set
     assert len(ring) == 18

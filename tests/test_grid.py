@@ -6,12 +6,16 @@ import pytest
 from trislither import (
     Dir,
     Edge,
+    Face,
     InvalidEdgeError,
+    InvalidInputError,
     InvalidParameterError,
     Side,
     Vertex,
     build_grid,
 )
+
+from oracles import reference_layout
 
 
 @pytest.mark.parametrize(
@@ -186,6 +190,20 @@ def test_foreign_edge_rejected(g2, g5):
         g2.rotate(foreign)
     with pytest.raises(InvalidEdgeError):
         g2.edge_between((1, 1), (3, 1))
+    no_slot = Edge(Vertex(1, 1), Dir.NW)
+    assert not g2.has_edge(no_slot) and not g2.has_edge(foreign)
+    with pytest.raises(InvalidEdgeError, match=r"edge \(1,1\)-\(0,2\) is not in the side-2 grid"):
+        g2.edge_index(no_slot)
+    with pytest.raises(InvalidInputError, match=r"vertex \(9,9\) is not in the side-2 grid"):
+        g2.vertex_index(Vertex(9, 9))
+    with pytest.raises(InvalidInputError, match=r"vertex \(3,2\) is not in the side-2 grid"):
+        g2.vertex_edges(Vertex(3, 2))
+    with pytest.raises(InvalidInputError, match=r"face up@\(9,9\) is not in the side-2 grid"):
+        g2.face_index(Face(Vertex(9, 9), True))
+    # The up-face at (1, 2) exists; the down-face there would poke out of the grid.
+    assert g2.face_index(Face(Vertex(1, 2), True)) == 3
+    with pytest.raises(InvalidInputError, match=r"face down@\(1,2\) is not in the side-2 grid"):
+        g2.face_edges(Face(Vertex(1, 2), False))
 
 
 def test_edge_between_accepts_either_order(g5):
@@ -193,3 +211,20 @@ def test_edge_between_accepts_either_order(g5):
     assert e == g5.edge_between((2, 3), (3, 2))
     assert e.dir == Dir.NW
     assert e == Edge(Vertex(3, 2), Dir.NW)
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 40])
+def test_layout_matches_reference(n):
+    g = build_grid(n)
+    ref = reference_layout(n)
+    for name, want in ref.items():
+        got = getattr(g, name)
+        if name == "vertex_edges_idx":
+            assert all(row.dtype == np.int64 for row in got)
+            assert [row.tolist() for row in got] == want
+        else:
+            assert got.dtype == (bool if name == "boundary_edge_mask" else np.int64), name
+            assert got.tolist() == want, name
+    xy = ref["vertex_xy"]
+    for e, u, v in zip(g.edges, ref["u_of_edge"], ref["v_of_edge"]):
+        assert e.endpoints == (Vertex(*xy[u]), Vertex(*xy[v]))
