@@ -7,6 +7,7 @@ not totally even, a failed mod-4 check), 2 = usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -160,7 +161,10 @@ def _cmd_formula(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: building it
+    takes far longer than a parse, and a parse leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="trislither",
         description="Totally even subsets and Slitherlink signatures on triangular grids.",
@@ -210,8 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (TrislitherError, OSError, ValueError) as exc:

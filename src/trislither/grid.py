@@ -47,6 +47,9 @@ class Dir(IntEnum):
 
 _DELTAS = {Dir.E: (1, 0), Dir.NE: (0, 1), Dir.NW: (-1, 1)}
 _DIR_OF_DELTA = {delta: d for d, delta in _DELTAS.items()}
+# Direction by |3*dy + dx|: the steps E, NW and NE and their reverses give
+# +-1, +-2 and +-3, and no other step with |dx|, |dy| <= 1 gives those.
+_DIR_OF_CODE = np.array([-1, Dir.E, Dir.NW, Dir.NE, -1])
 
 
 class Side(Enum):
@@ -176,19 +179,29 @@ class TriGrid:
         self.nbr[rows, cols] = others[by_nbr]
         self.nbr_edge[rows, cols] = by_nbr % slots.size
 
-        self.reflect_eperm = self._edge_ids(n + 3 - uy - ux, uy, n + 3 - vy - vx, vy)
-        self.rotate_eperm = self._edge_ids(uy, n + 3 - ux - uy, vy, n + 3 - vx - vy)
+        self.reflect_eperm = self.edge_ids(n + 3 - uy - ux, uy, n + 3 - vy - vx, vy)
+        self.rotate_eperm = self.edge_ids(uy, n + 3 - ux - uy, vy, n + 3 - vx - vy)
         # Edges crossed by the vertical symmetry axis: horizontal edges
         # whose endpoints are swapped by the reflection, i.e. 2x + y = n + 2.
         self.middle_edge_idx = np.flatnonzero((self.edge_dir == Dir.E) & (2 * ux + uy == n + 2))
         self.bottom_edge_idx = self.side_edge_indices(Side.BOTTOM)
 
-    def _edge_ids(self, ax, ay, bx, by) -> np.ndarray:
-        """Indices of the edges joining vertex arrays a and b, which must be adjacent."""
-        flip = (by < ay) | ((by == ay) & (bx < ax))
-        ax, ay, bx, by = (np.where(flip, q, p) for p, q in ((ax, bx), (ay, by), (bx, ax), (by, ay)))
-        # The base now lies below or left of the tip: E, NE, NW = 0, 1, 2 = dy + (dx < 0).
-        return self.edge_slot[3 * _vertex_id(self.n, ax, ay) + (by - ay) + (bx < ax)]
+    def edge_ids(self, ax, ay, bx, by) -> np.ndarray:
+        """Index of the edge joining vertices (ax, ay) and (bx, by), elementwise
+        over int arrays; -1 where the two are not adjacent vertices of this grid."""
+        dx, dy = bx - ax, by - ay
+        code = 3 * dy + dx
+        # Every direction points up, or right along a row: code > 0 from base to tip.
+        forward = code > 0
+        x, y = np.where(forward, ax, bx), np.where(forward, ay, by)
+        # mode="clip" reads every index past 4 as 4, and below 0 (np.abs of
+        # INT64_MIN) as 0: both -1. Where int64 arithmetic wraps, both ends
+        # lie far off the grid.
+        d = _DIR_OF_CODE.take(np.abs(code), mode="clip")
+        # With its base in the grid, an edge is in the grid when its slot is.
+        ok = (d >= 0) & (np.abs(dx) <= 1) & (np.abs(dy) <= 1) & self.has_vertex(x, y)
+        slot = np.where(ok, 3 * _vertex_id(self.n, x, y) + d, 0)
+        return np.where(ok, self.edge_slot[slot], -1)
 
     # -- object views ------------------------------------------------------
 
@@ -234,8 +247,9 @@ class TriGrid:
     def num_faces(self) -> int:
         return len(self.face_edges_idx)
 
-    def has_vertex(self, x: int, y: int) -> bool:
-        return 1 <= y <= self.n + 1 and 1 <= x <= self.n + 2 - y
+    def has_vertex(self, x, y):
+        """Is (x, y) a vertex of this grid? Elementwise over int arrays."""
+        return (1 <= y) & (y <= self.n + 1) & (1 <= x) & (x <= self.n + 2 - y)
 
     def vertex_index(self, v: Vertex) -> int:
         if not self.has_vertex(v.x, v.y):

@@ -1,12 +1,20 @@
-"""Independent brute-force oracles.
+"""Independent brute-force oracles and per-object references.
 
-These deliberately avoid the library's linear algebra and DFS: they filter
-all 2^|E| edge subsets directly, so they only make sense for tiny grids.
+The subset oracles deliberately avoid the library's linear algebra and
+DFS: they filter all 2^|E| edge subsets directly, so they only make sense
+for tiny grids. The file reader and the SVG renderer below are the
+line-by-line, object-by-object forms of the array paths in
+``trislither.fileio`` and ``trislither.svgfig``.
 """
+
+import math
+import re
 
 import numpy as np
 
-from trislither import TriGrid
+from trislither import EdgeSet, FileFormatError, TriGrid, build_grid
+from trislither.cycles import validate_cycle
+from trislither.fileio import MAX_SIDE, corner_walk_edges
 from trislither.grid import Dir
 
 
@@ -134,3 +142,142 @@ def reference_layout(n: int) -> dict:
         "rotate_eperm": image(rotate),
         "middle_edge_idx": [k for k, (u, v) in enumerate(ends) if reflect(*verts[u]) == verts[v]],
     }
+
+
+# -- files ----------------------------------------------------------------
+
+
+def _reference_lines(path, text):
+    n = None
+    records = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] == "n":
+            if n is not None:
+                raise FileFormatError(path, line_no, "duplicate n line")
+            if len(parts) != 2 or not parts[1].isdecimal():
+                raise FileFormatError(path, line_no, f"malformed n line: {raw!r}")
+            n = int(parts[1])
+            if not 1 <= n <= MAX_SIDE:
+                raise FileFormatError(path, line_no, f"grid side {n} is outside 1..{MAX_SIDE}")
+            continue
+        if n is None:
+            raise FileFormatError(path, line_no, "first line must declare n")
+        records.append((line_no, parts))
+    if n is None:
+        raise FileFormatError(path, 0, "missing n line")
+    return n, records
+
+
+def _reference_ints(path, line_no, parts, count):
+    if len(parts) != count + 1:
+        raise FileFormatError(path, line_no, f"expected {count} integers: {' '.join(parts)!r}")
+    if not all(re.fullmatch(r"-?[0-9]+", p) for p in parts[1:]):
+        raise FileFormatError(path, line_no, f"non-integer field: {' '.join(parts)!r}")
+    return [int(p) for p in parts[1:]]
+
+
+def _reference_edge_records(path, g, records):
+    edges = []
+    seen = set()
+    for line_no, parts in records:
+        if parts[0] != "edge":
+            raise FileFormatError(path, line_no, f"unexpected record {parts[0]!r}")
+        x1, y1, x2, y2 = _reference_ints(path, line_no, parts, 4)
+        try:
+            e = g.edge_between((x1, y1), (x2, y2))
+        except Exception as exc:
+            raise FileFormatError(path, line_no, str(exc)) from None
+        if e in seen:
+            raise FileFormatError(path, line_no, f"duplicate edge {e}")
+        seen.add(e)
+        edges.append(e)
+    return EdgeSet.from_edges(g, edges)
+
+
+def reference_loads_edge_set(text, path="<string>"):
+    """``loads_edge_set`` one line and one ``Edge`` at a time, with a set of
+    the edges seen so far."""
+    n, records = _reference_lines(path, text)
+    return _reference_edge_records(path, build_grid(n), records)
+
+
+def reference_loads_cycle(text, path="<string>"):
+    """``loads_cycle`` one line at a time."""
+    n, records = _reference_lines(path, text)
+    g = build_grid(n)
+    kinds = {parts[0] for _, parts in records}
+    if not records:
+        raise FileFormatError(path, 0, "cycle file has no edge or walk records")
+    if kinds == {"edge"}:
+        a = _reference_edge_records(path, g, records)
+        try:
+            return validate_cycle(g, a)
+        except Exception as exc:
+            raise FileFormatError(path, records[0][0], str(exc)) from None
+    if kinds == {"walk"}:
+        corners = [tuple(_reference_ints(path, no, parts, 2)) for no, parts in records]
+        try:
+            return validate_cycle(g, EdgeSet.from_edges(g, corner_walk_edges(g, corners)))
+        except Exception as exc:
+            raise FileFormatError(path, records[0][0], str(exc)) from None
+    raise FileFormatError(
+        path, records[0][0], "cycle file must contain only edge lines or only walk lines"
+    )
+
+
+# -- SVG ------------------------------------------------------------------
+
+
+def reference_render_svg(g, subset=None, transversal=None, unit=40.0):
+    """``render_svg`` over the ``Vertex`` and ``Edge`` objects of the grid,
+    one element at a time."""
+    s3h = math.sqrt(3.0) / 2.0
+
+    def fmt(value):
+        return f"{value:.2f}"
+
+    margin = 0.6 * unit
+    height_units = g.n * s3h
+
+    def place(v):
+        x, y = (v.x - 1) + (v.y - 1) / 2.0, (v.y - 1) * s3h
+        return margin + x * unit, margin + (height_units - y) * unit
+
+    def line(a, b, stroke, width_px, cls):
+        (x1, y1), (x2, y2) = a, b
+        return (
+            f'<line class="{cls}" x1="{fmt(x1)}" y1="{fmt(y1)}" '
+            f'x2="{fmt(x2)}" y2="{fmt(y2)}" stroke="{stroke}" '
+            f'stroke-width="{fmt(width_px)}" stroke-linecap="round"/>'
+        )
+
+    width = 2 * margin + g.n * unit
+    height = 2 * margin + height_units * unit
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(width)}" '
+        f'height="{fmt(height)}" viewBox="0 0 {fmt(width)} {fmt(height)}">'
+    ]
+    for e in g.edges:
+        u, v = e.endpoints
+        out.append(line(place(u), place(v), "#c8c8c8", 0.04 * unit, "grid"))
+    if subset is not None:
+        for e in subset.edges():
+            u, v = e.endpoints
+            out.append(line(place(u), place(v), "#101010", 0.12 * unit, "subset"))
+    if transversal is not None:
+        mids = {}
+        for node in transversal.nodes:
+            u, v = g.edges[node].endpoints
+            (x1, y1), (x2, y2) = place(u), place(v)
+            mids[node] = ((x1 + x2) / 2.0, (y1 + y2) / 2.0)
+        for a, b in transversal.links:
+            out.append(line(mids[a], mids[b], "#c03030", 0.05 * unit, "transversal"))
+    for v in g.vertices:
+        cx, cy = place(v)
+        out.append(f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(0.07 * unit)}" fill="#000000"/>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

@@ -69,10 +69,11 @@ def test_verify_single_edge(tmp_path, capsys, g5):
 
 def test_verify_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.edges"
-    path.write_text("n 2\nedge 1 1 9 9\n")
-    code, _, err = run(capsys, "verify", "--in", str(path))
-    assert code == 2
-    assert "bad.edges:2" in err
+    for far in ("9 9", "-9223372036854775807 1"):
+        path.write_text(f"n 2\nedge 1 1 {far}\n")
+        code, _, err = run(capsys, "verify", "--in", str(path))
+        assert code == 2
+        assert f"bad.edges:2: (1,1) and ({far.replace(' ', ',')}) are not adjacent" in err
 
 
 def test_verify_rejects_oversized_side_fast(tmp_path, capsys):
@@ -292,3 +293,37 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_repeated_calls_match_fresh_parser(tmp_path, capsys, g5):
+    c1, c2 = t5_pair(g5)
+    for name, c in (("c1", c1), ("c2", c2)):
+        write_cycle(tmp_path / f"{name}.cycle", c)
+    write_edge_set(tmp_path / "d.edges", c1.edge_set ^ c2.edge_set)
+    names = ("b.edges", "d.edges", "c1.cycle", "c2.cycle", "f.svg")
+    p = {name: str(tmp_path / name) for name in names}
+    calls = [
+        ["basis", "--n", "6", "--i", "3", "--out", p["b.edges"]],
+        ["verify", "--in", p["b.edges"]],
+        ["svg", "--in", p["b.edges"], "--out", p["f.svg"], "--unit-px", "7.5"],
+        ["transversal", "--in", p["d.edges"], "--c1", p["c1.cycle"], "--c2", p["c2.cycle"],
+         "--svg-out", p["f.svg"]],
+        ["transversal", "--in", p["b.edges"]],
+        ["verify", "--in", p["c1.cycle"]],
+        ["census", "--n", "3"],
+        ["formula", "--n", "11", "--indices", "4,5"],
+        ["oracle", "--n", "4"],
+        ["basis", "--n", "0", "--i", "1", "--out", p["b.edges"]],
+        ["transversal", "--in", p["d.edges"], "--c1", p["c1.cycle"]],
+    ]
+
+    def call(argv):
+        result = run(capsys, *argv)
+        with open(p["f.svg"] if "svg" in " ".join(argv) else p["b.edges"], "rb") as fh:
+            return result, fh.read()
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    assert [call(argv) for argv in calls + calls] == fresh + fresh

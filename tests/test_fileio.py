@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from trislither import EdgeSet, FileFormatError, basis_subset, build_grid
@@ -13,6 +15,7 @@ from trislither.fileio import (
     write_edge_set,
 )
 
+from oracles import reference_loads_cycle, reference_loads_edge_set
 from refcycles import T5_WALK_A, cycle_from_walk
 
 
@@ -56,6 +59,25 @@ def test_comments_and_blank_lines_ignored():
         ("n 2\nedge 1 1 2 1\nedge 2 1 1 1\n", "duplicate edge"),
         ("n 2\nblob 1 1\n", "unexpected record"),
         ("", "missing n"),
+        # Of several faults, the one on the earliest line is reported.
+        ("n 2\nedge 1 1 3 1\nedge 1 1 2 a\n", "<string>:2: (1,1) and (3,1) are not adjacent"),
+        ("n 2\nedge 1 1 2 a\nedge 1 1 3 1\n", "<string>:2: non-integer"),
+        ("n 2\nblob\nedge 9 9 9 9\n", "<string>:2: unexpected record 'blob'"),
+        ("n 2\nedge 1 1 2 1\nedge 1 1\nedge 1 1 2 1\n", "<string>:3: expected 4 integers"),
+        ("n 2\nedge 9 9 9 9\nedge 1 1 2 1\nedge 1 1 2 1\n", "<string>:2: (9,9) and (9,9)"),
+        ("n 2\nedge 1 1 2 1\nedge 2 1 1 1\nedge 9 9 9 9\n", "<string>:3: duplicate edge (1,1)-"),
+        ("n 2\nedge 1 1 2 1\nedge 1 1 1 2\nedge 2 1 1 1\nblob\n", "<string>:4: duplicate edge"),
+        ("n 2\nedge 1 1 2 a\nn 2\n", "<string>:3: duplicate n line"),
+        # Fields are plain ASCII integers.
+        ("n 2\nedge 1_0 1 2 1\n", "<string>:2: non-integer field: 'edge 1_0 1 2 1'"),
+        ("n 2\nedge +1 1 2 1\n", "<string>:2: non-integer field"),
+        ("n 2\nedge \u0661 1 2 1\n", "<string>:2: non-integer field"),
+        ("n 2\nedge 1 1 2 1.0\n", "<string>:2: non-integer field"),
+        ("n 2\nedge 99999999999999999999 1 2 1\n", "(99999999999999999999,1) and (2,1) are not"),
+        # Values at the ends of int64 are off the grid; no difference overflows.
+        ("n 2\nedge 1 1 -9223372036854775807 1\n", "(1,1) and (-9223372036854775807,1) are not"),
+        ("n 2\nedge 0 1 -9223372036854775808 1\n", "(0,1) and (-9223372036854775808,1) are not"),
+        ("n 2\nedge 9223372036854775807 1 1 1\n", "(9223372036854775807,1) and (1,1) are not"),
     ],
 )
 def test_edge_set_parse_errors(text, fragment):
@@ -92,6 +114,21 @@ def test_cycle_walk_errors():
     with pytest.raises(FileFormatError) as exc:
         loads_cycle("\n".join(reuse) + "\n")
     assert "reuses edge" in str(exc.value)
+
+
+@pytest.mark.parametrize("field", ["+1", "1_0", "\u0661", "0x1"])
+def test_walk_fields_are_plain_integers(field):
+    text = f"n 5\nwalk 1 1\nwalk 2 1\nwalk {field} 2\nwalk 1 1\n"
+    with pytest.raises(FileFormatError) as exc:
+        loads_cycle(text)
+    assert f"<string>:4: non-integer field: 'walk {field} 2'" in str(exc.value)
+
+
+def test_leading_zeros_and_minus_zero_are_integers():
+    assert loads_edge_set("n 2\nedge 001 1 2 01\n") == loads_edge_set("n 2\nedge 1 1 2 1\n")
+    with pytest.raises(FileFormatError) as exc:
+        loads_edge_set("n 2\nedge -0 1 1 1\n")
+    assert "(0,1) and (1,1) are not adjacent" in str(exc.value)
 
 
 def test_cycle_file_must_be_one_form():
@@ -141,3 +178,87 @@ def test_edge_form_cycle_builds_one_grid(monkeypatch, g5):
     c = cycle_from_walk(g5, T5_WALK_A)
     assert loads_cycle(dumps_cycle(c)).edge_set == c.edge_set
     assert built == [5]
+
+
+# -- the array reader against the line-by-line reference -----------------------
+
+_JUNK = ["a", "2.5", "+1", "1_0", "\u0661", "0x1", "-", "--1", "1-", "1e3", "\uff11"]
+_OFF_GRID = [
+    "0", "-1", "-0", "9", "007", "99999999999999999999999", "-99999999999999999999999",
+    "9223372036854775807", "-9223372036854775807", "-9223372036854775808",
+]
+
+
+def _edge_lines(rng, g) -> list[str]:
+    """The edge records of a random subset of ``g``, in random order, each
+    pair in either order."""
+    idx = rng.sample(range(g.num_edges), rng.randint(0, g.num_edges))
+    lines = []
+    for i in idx:
+        ends = [g.vertex_xy[g.u_of_edge[i]].tolist(), g.vertex_xy[g.v_of_edge[i]].tolist()]
+        rng.shuffle(ends)
+        lines.append("edge {} {} {} {}".format(*ends[0], *ends[1]))
+    return lines
+
+
+def _mutate(rng, lines: list[str], kind: str) -> None:
+    """Apply one random fault, or one harmless change, in place."""
+    k = rng.randrange(len(lines) + 1)
+    choice = rng.randrange(11)
+    if choice == 0:
+        lines.insert(k, rng.choice(["", "   ", "# note", "\t# edge 1 1 2 1"]))
+    elif choice == 1:
+        lines.insert(k, rng.choice(["n 3", "n 2", "n x", "n"]))
+    elif choice == 2 and lines:
+        lines.insert(k, rng.choice(lines[: k or 1]))  # a repeat, mostly of an earlier line
+    elif k == len(lines) or not lines[k].split():  # past the end, or a blank line
+        lines.insert(k, f"{kind} 1 1 2 1")
+    else:
+        parts = lines[k].split()
+        if choice == 3:
+            parts[0] = rng.choice(["face", "Edge", "walk", "edge", "edges", "blob"])
+        elif choice == 4 and len(parts) > 1:
+            del parts[rng.randrange(1, len(parts))]
+        elif choice == 5:
+            parts.insert(rng.randrange(1, len(parts) + 1), "1")
+        elif choice in (6, 7) and len(parts) > 1:
+            parts[rng.randrange(1, len(parts))] = rng.choice(_JUNK)
+        elif len(parts) > 1:
+            parts[rng.randrange(1, len(parts))] = rng.choice(_OFF_GRID)
+        lines[k] = rng.choice([" ", "\t", "  "]).join(parts)
+
+
+def _outcome(load, text):
+    try:
+        a = load(text)
+    except FileFormatError as exc:
+        return str(exc)
+    a = getattr(a, "edge_set", a)
+    return a.grid.n, a.bits.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_edge_set_reader_matches_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        g = build_grid(rng.randint(1, 6))
+        lines = [f"n {g.n}"] + _edge_lines(rng, g)
+        for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+            _mutate(rng, lines, "edge")
+        text = "\n".join(lines) + rng.choice(["\n", "", "\r\n"])
+        assert _outcome(loads_edge_set, text) == _outcome(reference_loads_edge_set, text), text
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_cycle_reader_matches_reference(seed):
+    rng = random.Random(seed)
+    g = build_grid(5)
+    walk_lines = [f"walk {x} {y}" for x, y in T5_WALK_A]
+    edge_lines = dumps_edge_set(cycle_from_walk(g, T5_WALK_A).edge_set).splitlines()[1:]
+    for _ in range(150):
+        kind = rng.choice(["walk", "edge"])
+        lines = ["n 5"] + list(walk_lines if kind == "walk" else edge_lines)
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            _mutate(rng, lines, kind)
+        text = "\n".join(lines) + "\n"
+        assert _outcome(loads_cycle, text) == _outcome(reference_loads_cycle, text), text

@@ -213,6 +213,27 @@ def test_edge_between_accepts_either_order(g5):
     assert e == Edge(Vertex(3, 2), Dir.NW)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_edge_ids_match_edge_between(n):
+    g = build_grid(n)
+    coords = range(-1, n + 4)
+    pairs = [
+        (ax, ay, ax + dx, ay + dy)
+        for ax in coords for ay in coords for dx in range(-2, 3) for dy in range(-2, 3)
+    ]
+    # Pairs whose int64 differences wrap around.
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    ends = [lo, lo + 1, -1, 1, hi - 1, hi]
+    pairs += [(a, 1, b, 1) for a in ends for b in ends] + [(1, a, 1, b) for a in ends for b in ends]
+    got = g.edge_ids(*np.array(pairs).T)
+    for (ax, ay, bx, by), i in zip(pairs, got.tolist()):
+        try:
+            want = g.edge_index(g.edge_between((ax, ay), (bx, by)))
+        except InvalidEdgeError:
+            want = -1
+        assert i == want, (ax, ay, bx, by)
+
+
 @pytest.mark.parametrize("n", [*range(1, 13), 40])
 def test_layout_matches_reference(n):
     g = build_grid(n)
