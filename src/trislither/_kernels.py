@@ -60,5 +60,5 @@ def signature_words(rows, face_edges):
     counts.
     """
     counts = rows[:, face_edges].sum(axis=2, dtype=np.uint8)
-    bits = np.stack([counts & 1, counts >> 1], axis=2).reshape(rows.shape[0], -1)
+    bits = np.stack([counts & 1, counts >> 1], axis=2).reshape(rows.shape[0], 2 * len(face_edges))
     return np.packbits(bits, axis=1, bitorder="little")

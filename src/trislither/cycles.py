@@ -12,8 +12,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidInputError, InvalidParameterError, NotACycleError, RewireError
-from .evenalg import EdgeSet, _vertex_degrees, decompose, is_totally_even, permute_bits
-from .grid import Dir, Edge, Side, TriGrid, Vertex
+from .evenalg import EdgeSet, _check_int, _vertex_degrees, decompose, is_totally_even
+from .grid import Dir, Edge, Side, TriGrid
 from .transversal import face_links, links_alternate
 
 
@@ -109,11 +109,20 @@ def validate_cycle(g: TriGrid, a: EdgeSet) -> Cycle:
 
 def signature(g: TriGrid, c: Cycle) -> Signature:
     """Count, for each finite face, how many of its edges the cycle uses."""
+    if c.grid.n != g.n:
+        raise InvalidInputError("edge set does not belong to this grid")
     counts = c.edge_set.bits[g.face_edges_idx].sum(axis=1)
     return Signature(counts)
 
 
 # -- enumeration --------------------------------------------------------------
+
+
+def _check_budget(name: str, value) -> None:
+    if value is not None:
+        _check_int(value, name)
+        if value < 0:
+            raise InvalidParameterError(f"{name} must be >= 0, got {value}")
 
 
 def _root_batches(g: TriGrid, budget: int | None) -> Iterator[np.ndarray]:
@@ -136,8 +145,7 @@ def enumerate_cycles(g: TriGrid, limit: int | None = None) -> Iterator[Cycle]:
     Cycles are grouped by their lowest vertex and emitted in depth-first
     order with index-sorted branching. ``limit`` truncates the stream.
     """
-    if limit is not None and limit < 0:
-        raise InvalidParameterError(f"limit must be >= 0, got {limit}")
+    _check_budget("limit", limit)
     for rows in _root_batches(g, limit):
         for row in rows:
             yield Cycle(EdgeSet(g, row))
@@ -185,8 +193,7 @@ def census(
     keys mean equal signatures. A ``max_cycles`` budget yields a result
     flagged as partial.
     """
-    if max_cycles is not None and max_cycles < 0:
-        raise InvalidParameterError(f"max_cycles must be >= 0, got {max_cycles}")
+    _check_budget("max_cycles", max_cycles)
     # One extra cycle past the budget distinguishes an exact fit from a cut.
     budget = None if max_cycles is None else int(max_cycles) + 1
     multiplicities: dict[bytes, int] = {}
@@ -202,8 +209,6 @@ def census(
         if max_cycles is not None and total + rows.shape[0] > max_cycles:
             rows = rows[: max_cycles - total]
             partial = True
-        if rows.shape[0] == 0:
-            continue
         batches.append(rows)
         sig_words = _kernels.signature_words(rows, g.face_edges_idx)
         for r, words in enumerate(sig_words):
@@ -323,12 +328,8 @@ def zigzag_edges(g: TriGrid, i: int) -> EdgeSet:
 
 def shared_side_edges(g: TriGrid, c1: Cycle, c2: Cycle) -> dict[Side, list[Edge]]:
     """Edges of each side used by both cycles."""
-    both = c1.edge_set & c2.edge_set
-    return {s: [e for e in g.side_edges(s) if e in both] for s in Side}
-
-
-def _toggle(bits: np.ndarray, g: TriGrid, edge: Edge) -> None:
-    bits[g.edge_index(edge)] ^= True
+    both = (c1.edge_set & c2.edge_set).bits
+    return {s: [g.edges[i] for i in g.side_edge_indices(s) if both[i]] for s in Side}
 
 
 def rewire_shared_side(
@@ -346,47 +347,35 @@ def rewire_shared_side(
         raise InvalidInputError("the two cycles must be distinct")
     if signature(g, c1) != signature(g, c2):
         raise InvalidInputError("the two cycles must have equal signatures")
-    # Rotations needed to bring each side onto the bottom.
-    spins = {Side.BOTTOM: 0, Side.LEFT: 2, Side.RIGHT: 1}
+    # Trading a diagonal (NW) for the E and NE beneath it toggles a first-row up face:
+    # faces 0, 2, .., 2n-2. One rotation carries the bottom onto the left, two onto the right.
+    bottom, rot = g.face_edges_idx[: 2 * g.n : 2].T, g.rotate_eperm
+    swaps = {Side.BOTTOM: bottom, Side.LEFT: rot[bottom], Side.RIGHT: rot[rot[bottom]]}
     b1 = c1.edge_set.bits.copy()
     b2 = c2.edge_set.bits.copy()
     side_idx = {s: g.side_edge_indices(s) for s in Side}
-    rounds = 0
+    r1, r2, rounds = c1, c2, 0
     while True:
-        missing = [s for s in Side if not (b1 & b2)[side_idx[s]].any()]
+        shared = b1 & b2
+        missing = [s for s in Side if not shared[side_idx[s]].any()]
         if not missing:
             break
         if rounds >= max_rounds:
             raise RewireError(f"no fixpoint after {rounds} rounds; still missing {missing}")
         rounds += 1
         side = missing[0]
-        for _ in range(spins[side]):
-            b1, b2 = permute_bits(b1, g.rotate_eperm), permute_bits(b2, g.rotate_eperm)
-        shared = b1 & b2
-        j = next(
-            (
-                j
-                for j in range(2, g.n + 2)
-                if shared[g.edge_index(Edge(Vertex(j, 1), Dir.NW))]
-            ),
-            None,
-        )
-        if j is None:
+        hits = np.flatnonzero(shared[swaps[side][2]])
+        if not hits.size:
             raise RewireError(
                 f"no shared first-row diagonal available to rewire side {side.value}"
             )
-        for bits in (b1, b2):
-            _toggle(bits, g, Edge(Vertex(j, 1), Dir.NW))
-            _toggle(bits, g, Edge(Vertex(j - 1, 1), Dir.E))
-            _toggle(bits, g, Edge(Vertex(j - 1, 1), Dir.NE))
-        for _ in range((3 - spins[side]) % 3):
-            b1, b2 = permute_bits(b1, g.rotate_eperm), permute_bits(b2, g.rotate_eperm)
+        swap = swaps[side][:, hits[0]]
+        b1[swap] ^= True
+        b2[swap] ^= True
         r1 = validate_cycle(g, EdgeSet(g, b1))
         r2 = validate_cycle(g, EdgeSet(g, b2))
         if signature(g, r1) != signature(g, r2):
             raise RewireError("rewiring broke signature equality")
         if r1.edge_set == r2.edge_set:
             raise RewireError("rewiring collapsed the two cycles")
-    out1 = validate_cycle(g, EdgeSet(g, b1))
-    out2 = validate_cycle(g, EdgeSet(g, b2))
-    return out1, out2
+    return r1, r2

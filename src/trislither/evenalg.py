@@ -57,7 +57,11 @@ class EdgeSet:
     @classmethod
     def from_pairs(cls, grid: TriGrid, pairs) -> "EdgeSet":
         """Build from ((x1,y1), (x2,y2)) vertex pairs."""
-        return cls.from_edges(grid, (grid.edge_between(a, b) for a, b in pairs))
+        pairs = [[(v.x, v.y) if isinstance(v, Vertex) else v for v in pair] for pair in pairs]
+        ids = grid.edge_ids(*np.array(pairs, dtype=object).reshape(-1, 4).T)
+        if (ids < 0).any():
+            grid.edge_between(*pairs[np.argmax(ids < 0)])  # raises: the pair is no edge
+        return cls(grid, np.bincount(ids, minlength=grid.num_edges) > 0)
 
     def _check_same_grid(self, other: "EdgeSet") -> None:
         if self.grid.n != other.grid.n:
@@ -237,9 +241,14 @@ def max_basis_index(n: int) -> int:
     return n // 2
 
 
+def _check_int(value, what: str) -> None:
+    """Raise unless ``value`` is an integer; a bool does not count as one."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_basis_index(g: TriGrid, i: int) -> None:
-    if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
-        raise InvalidParameterError(f"basis index must be an integer, got {i!r}")
+    _check_int(i, "basis index")
     if not 1 <= i <= max_basis_index(g.n):
         raise InvalidParameterError(
             f"basis index {i} out of range 1..{max_basis_index(g.n)} for n={g.n}"

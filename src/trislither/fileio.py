@@ -11,15 +11,16 @@ a closed corner walk, one corner per ``walk x y`` line. Walk segments may
 span several unit edges but must run along one of the three grid
 directions. Saved files list edges in canonical index order, so saving a
 loaded canonical file reproduces it byte for byte. Blank lines and lines
-starting with ``#`` are skipped; every field of an ``edge`` or ``walk``
-record is a plain ASCII integer (``-?[0-9]+``).
+starting with ``#`` are skipped. The side is plain ASCII digits
+(``[0-9]+``) and every field of an ``edge`` or ``walk`` record a plain
+ASCII integer (``-?[0-9]+``).
 
 Reading splits each line once. The records are then checked as one text
 by a regular expression, their fields converted by one ``np.array`` call,
-and the edges looked up, all at once, by ``TriGrid.edge_ids``; a stable
-sort finds repeated edges. No ``Vertex`` or ``Edge`` object is built
-unless a record is at fault. A file with several faults reports the one on
-its earliest line, header faults first.
+and the edges, or a walk's unit steps, looked up at once by
+``TriGrid.edge_ids``; a stable sort finds repeats. No ``Vertex`` or
+``Edge`` object is built unless a record is at fault. A file with several
+faults reports the one on its earliest line, header faults first.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .cycles import Cycle, validate_cycle
 from .errors import FileFormatError, InvalidEdgeError
 from .evenalg import EdgeSet
-from .grid import Edge, TriGrid, Vertex, build_grid
+from .grid import TriGrid, build_grid
 
 # Largest grid side a file may declare. A side-256 grid takes about 0.1 s
 # and 35 MB to build and every later step scales with the square of the
@@ -67,7 +68,7 @@ def _parse_lines(path: str, text: str):
     line_no, parts = lines[0]
     if not heads or heads[0] > 0:
         raise FileFormatError(path, line_no, "first line must declare n")
-    if len(parts) != 2 or not parts[1].isdecimal():
+    if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdecimal()):
         raw = text.splitlines()[line_no - 1]
         raise FileFormatError(path, line_no, f"malformed n line: {raw!r}")
     n = int(parts[1])
@@ -114,20 +115,15 @@ def _int_fields(path: str, records, kind: str) -> tuple[list[str], FileFormatErr
     return fields, FileFormatError(path, line_no, message)
 
 
-def _coordinates(fields: list[str]) -> np.ndarray:
-    # 0 and MAX_SIDE + 2 are off every grid, so clipping keeps an off-grid
-    # value off it; every value that is not clipped is exact in float64.
-    return np.array(fields, dtype=np.float64).clip(0, MAX_SIDE + 2).astype(np.int64)
-
-
-def _edge(path: str, g: TriGrid, record) -> Edge:
-    """The edge an ``edge`` record names, or its error."""
-    line_no, parts = record
-    x1, y1, x2, y2 = map(int, parts[1:])
-    try:
-        return g.edge_between((x1, y1), (x2, y2))
-    except InvalidEdgeError as exc:
-        raise FileFormatError(path, line_no, str(exc)) from None
+def _first_fault(ids: np.ndarray) -> int:
+    """Position of the first id that is -1 or repeats an earlier one, else len(ids)."""
+    off = np.flatnonzero(ids < 0)
+    head = ids[: off[0]] if off.size else ids
+    order = np.argsort(head, kind="stable")
+    repeats = order[1:][head[order[1:]] == head[order[:-1]]]
+    if repeats.size:
+        return int(repeats.min())
+    return int(off[0]) if off.size else len(ids)
 
 
 def _edge_records(path: str, g: TriGrid, records) -> EdgeSet:
@@ -139,21 +135,21 @@ def _edge_records(path: str, g: TriGrid, records) -> EdgeSet:
     repeated edge is reported at its second line.
     """
     fields, error = _int_fields(path, records, "edge")
-    ids = g.edge_ids(*_coordinates(fields).reshape(-1, 4).T)
-    off = np.flatnonzero(ids < 0)
-    head = ids[: off[0]] if off.size else ids
-    order = np.argsort(head, kind="stable")
-    repeats = order[1:][head[order[1:]] == head[order[:-1]]]
-    if repeats.size:
-        k = repeats.min()
-        raise FileFormatError(path, records[k][0], f"duplicate edge {_edge(path, g, records[k])}")
-    if off.size:
-        _edge(path, g, records[off[0]])  # raises: the pair is no edge of g
+    # float64 is exact up to 2^53, and clipping takes any larger value off the grid.
+    xy = np.array(fields, dtype=np.float64).clip(0, g.n + 3).astype(np.int64)
+    ids = g.edge_ids(*xy.reshape(-1, 4).T)
+    k = _first_fault(ids)
+    if k < len(ids):
+        line_no, parts = records[k]
+        x1, y1, x2, y2 = map(int, parts[1:])
+        try:
+            edge = g.edge_between((x1, y1), (x2, y2))
+        except InvalidEdgeError as exc:
+            raise FileFormatError(path, line_no, str(exc)) from None
+        raise FileFormatError(path, line_no, f"duplicate edge {edge}")
     if error is not None:
         raise error
-    bits = np.zeros(g.num_edges, dtype=bool)
-    bits[ids] = True
-    return EdgeSet(g, bits)
+    return EdgeSet(g, np.bincount(ids, minlength=g.num_edges) > 0)
 
 
 def loads_edge_set(text: str, path: str = "<string>") -> EdgeSet:
@@ -168,38 +164,42 @@ def read_edge_set(path: str | os.PathLike) -> EdgeSet:
 
 # -- cycles -------------------------------------------------------------------
 
-_SEGMENT_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1))
-
-
-def corner_walk_edges(g: TriGrid, corners: list[tuple[int, int]]) -> list[Edge]:
-    """Decompose a closed corner walk into unit edges.
+def corner_walk_edges(g: TriGrid, corners: list[tuple[int, int]]) -> np.ndarray:
+    """The edge indices of a closed corner walk's unit steps, in walk order.
 
     Each segment must run along one of the three grid directions; the walk
-    must end where it started and may not reuse a unit edge.
+    must end where it started and may not reuse a unit edge. The first
+    fault in walk order is raised as a ValueError.
     """
     if len(corners) < 2 or corners[0] != corners[-1]:
         raise ValueError("corner walk must be closed (first corner repeated at the end)")
-    edges: list[Edge] = []
-    seen = set()
+    # Every step before the first fault is a new edge of g, so the first
+    # fault is among the first num_edges + 1 steps; no more are taken.
+    cap, total, units, steps, fault = g.num_edges + 1, 0, [], [], None
     for (x1, y1), (x2, y2) in zip(corners, corners[1:]):
         dx, dy = x2 - x1, y2 - y1
-        steps = max(abs(dx), abs(dy))
-        if steps == 0:
-            raise ValueError(f"zero-length segment at corner ({x1},{y1})")
-        ux, uy = dx // steps, dy // steps
-        if (ux, uy) not in _SEGMENT_DIRS or (ux * steps, uy * steps) != (dx, dy):
-            raise ValueError(
-                f"segment ({x1},{y1})->({x2},{y2}) does not follow a grid direction"
-            )
-        for k in range(steps):
-            a = Vertex(x1 + k * ux, y1 + k * uy)
-            b = Vertex(x1 + (k + 1) * ux, y1 + (k + 1) * uy)
-            e = g.edge_between(a, b)
-            if e in seen:
-                raise ValueError(f"walk reuses edge {e}")
-            seen.add(e)
-            edges.append(e)
-    return edges
+        if dx == dy == 0:
+            fault = f"zero-length segment at corner ({x1},{y1})"
+        elif dx and dy and dx != -dy:
+            fault = f"segment ({x1},{y1})->({x2},{y2}) does not follow a grid direction"
+        if fault or total == cap:
+            break
+        units.append(((dx > 0) - (dx < 0), (dy > 0) - (dy < 0)))
+        steps.append(min(max(abs(dx), abs(dy)), cap - total))
+        total += steps[-1]
+    u = np.repeat(np.array(units, dtype=np.int64).reshape(-1, 2), steps, axis=0)
+    # Where each step starts; from a start off the grid, the first step fails.
+    start = corners[0] if g.has_vertex(*corners[0]) else (0, 0)
+    p = np.array(start) + np.cumsum(u, axis=0) - u
+    ids = g.edge_ids(*p.T, *(p + u).T)
+    f = _first_fault(ids)
+    if f < len(ids):
+        a = corners[0] if f == 0 else tuple(p[f].tolist())
+        b = (a[0] + int(u[f, 0]), a[1] + int(u[f, 1]))
+        raise ValueError(f"walk reuses edge {g.edge_between(a, b)}")  # raises if off the grid
+    if fault:
+        raise ValueError(fault)
+    return ids
 
 
 def dumps_cycle(c: Cycle) -> str:
@@ -221,7 +221,7 @@ def loads_cycle(text: str, path: str = "<string>") -> Cycle:
         a = _edge_records(path, g, records)
         try:
             return validate_cycle(g, a)
-        except Exception as exc:
+        except ValueError as exc:
             raise FileFormatError(path, records[0][0], str(exc)) from None
     if kinds == {"walk"}:
         fields, error = _int_fields(path, records, "walk")
@@ -229,9 +229,9 @@ def loads_cycle(text: str, path: str = "<string>") -> Cycle:
             raise error
         corners = list(zip(map(int, fields[::2]), map(int, fields[1::2])))
         try:
-            edges = corner_walk_edges(g, corners)
-            return validate_cycle(g, EdgeSet.from_edges(g, edges))
-        except Exception as exc:
+            ids = corner_walk_edges(g, corners)
+            return validate_cycle(g, EdgeSet(g, np.bincount(ids, minlength=g.num_edges) > 0))
+        except ValueError as exc:
             raise FileFormatError(path, records[0][0], str(exc)) from None
     raise FileFormatError(
         path, records[0][0], "cycle file must contain only edge lines or only walk lines"

@@ -46,7 +46,6 @@ class Dir(IntEnum):
 
 
 _DELTAS = {Dir.E: (1, 0), Dir.NE: (0, 1), Dir.NW: (-1, 1)}
-_DIR_OF_DELTA = {delta: d for d, delta in _DELTAS.items()}
 # Direction by |3*dy + dx|: the steps E, NW and NE and their reverses give
 # +-1, +-2 and +-3, and no other step with |dx|, |dy| <= 1 gives those.
 _DIR_OF_CODE = np.array([-1, Dir.E, Dir.NW, Dir.NE, -1])
@@ -187,16 +186,21 @@ class TriGrid:
         self.bottom_edge_idx = self.side_edge_indices(Side.BOTTOM)
 
     def edge_ids(self, ax, ay, bx, by) -> np.ndarray:
-        """Index of the edge joining vertices (ax, ay) and (bx, by), elementwise
-        over int arrays; -1 where the two are not adjacent vertices of this grid."""
+        """Index of the edge joining vertices (ax, ay) and (bx, by), elementwise over
+        integers of any size; -1 where the two are not adjacent vertices of this grid."""
+        # Integers other than int64 are clipped to 0 .. n+3, which keeps them
+        # off the grid if they were; where int64 arithmetic wraps, both ends are.
+        ax, ay, bx, by = (
+            v if getattr(v, "dtype", None) == np.int64
+            else np.asarray(np.clip(v, 0, self.n + 3), np.int64)
+            for v in (ax, ay, bx, by)
+        )
         dx, dy = bx - ax, by - ay
         code = 3 * dy + dx
         # Every direction points up, or right along a row: code > 0 from base to tip.
         forward = code > 0
         x, y = np.where(forward, ax, bx), np.where(forward, ay, by)
-        # mode="clip" reads every index past 4 as 4, and below 0 (np.abs of
-        # INT64_MIN) as 0: both -1. Where int64 arithmetic wraps, both ends
-        # lie far off the grid.
+        # mode="clip" reads past 4 as 4, and below 0 (np.abs of INT64_MIN) as 0: both -1.
         d = _DIR_OF_CODE.take(np.abs(code), mode="clip")
         # With its base in the grid, an edge is in the grid when its slot is.
         ok = (d >= 0) & (np.abs(dx) <= 1) & (np.abs(dy) <= 1) & self.has_vertex(x, y)
@@ -258,10 +262,8 @@ class TriGrid:
 
     def _find_edge(self, e: Edge) -> int:
         """Index of edge ``e``, or -1 when it is not an edge of this grid."""
-        x, y = e.base.x, e.base.y
-        if not self.has_vertex(x, y):
-            return -1
-        return int(self.edge_slot[3 * _vertex_id(self.n, x, y) + e.dir])
+        (ax, ay), (bx, by) = ((v.x, v.y) for v in e.endpoints)
+        return int(self.edge_ids(ax, ay, bx, by))
 
     def edge_index(self, e: Edge) -> int:
         i = self._find_edge(e)
@@ -283,14 +285,13 @@ class TriGrid:
 
         Accepts Vertex instances or plain (x, y) pairs.
         """
-        a = a if isinstance(a, Vertex) else Vertex(*a)
-        b = b if isinstance(b, Vertex) else Vertex(*b)
-        # Every direction points up, or right along a row.
-        base, tip = (b, a) if (b.y, b.x) < (a.y, a.x) else (a, b)
-        d = _DIR_OF_DELTA.get((tip.x - base.x, tip.y - base.y))
-        if d is None or not (self.has_vertex(base.x, base.y) and self.has_vertex(tip.x, tip.y)):
-            raise InvalidEdgeError(f"{a} and {b} are not adjacent in the side-{self.n} grid")
-        return Edge(base, d)
+        (ax, ay), (bx, by) = ((v.x, v.y) if isinstance(v, Vertex) else v for v in (a, b))
+        i = int(self.edge_ids(ax, ay, bx, by))
+        if i < 0:
+            raise InvalidEdgeError(
+                f"({ax},{ay}) and ({bx},{by}) are not adjacent in the side-{self.n} grid"
+            )
+        return Edge(Vertex(*self.vertex_xy[self.u_of_edge[i]].tolist()), Dir(self.edge_dir[i]))
 
     def vertex_edges(self, v: Vertex) -> list[Edge]:
         return [self.edges[i] for i in self.vertex_edges_idx[self.vertex_index(v)]]

@@ -1,6 +1,6 @@
 import pytest
 
-from trislither import build_grid
+from trislither import build_grid, census
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +31,9 @@ def g6():
 @pytest.fixture(scope="session")
 def g11():
     return build_grid(11)
+
+
+@pytest.fixture(scope="session")
+def census5(g5):
+    """The whole side-5 census: 128,967 cycles, 8 same-signature pairs."""
+    return census(g5)

@@ -2,20 +2,32 @@
 
 The subset oracles deliberately avoid the library's linear algebra and
 DFS: they filter all 2^|E| edge subsets directly, so they only make sense
-for tiny grids. The file reader and the SVG renderer below are the
-line-by-line, object-by-object forms of the array paths in
-``trislither.fileio`` and ``trislither.svgfig``.
+for tiny grids. The side rewiring, the file reader, the corner walk and
+the SVG renderer below are the step-by-step, object-by-object forms of
+the array paths in ``trislither.cycles``, ``trislither.fileio`` and
+``trislither.svgfig``.
 """
 
+import functools
 import math
 import re
 
 import numpy as np
 
-from trislither import EdgeSet, FileFormatError, TriGrid, build_grid
-from trislither.cycles import validate_cycle
-from trislither.fileio import MAX_SIDE, corner_walk_edges
-from trislither.grid import Dir
+from trislither import (
+    EdgeSet,
+    FileFormatError,
+    InvalidEdgeError,
+    InvalidInputError,
+    RewireError,
+    Side,
+    TriGrid,
+    build_grid,
+)
+from trislither.cycles import signature, validate_cycle
+from trislither.evenalg import permute_bits
+from trislither.fileio import MAX_SIDE
+from trislither.grid import Dir, Edge, Vertex
 
 
 def edge_mask(edge_set) -> int:
@@ -144,6 +156,82 @@ def reference_layout(n: int) -> dict:
     }
 
 
+@functools.cache
+def reference_edge_index(n: int) -> dict:
+    """The index of the edge joining each ordered pair of adjacent vertices
+    of the side-n grid, keyed by ((x1, y1), (x2, y2)), from
+    ``reference_layout``."""
+    ref = reference_layout(n)
+    xy = [tuple(v) for v in ref["vertex_xy"]]
+    index = {}
+    for k, (u, v) in enumerate(zip(ref["u_of_edge"], ref["v_of_edge"])):
+        index[xy[u], xy[v]] = index[xy[v], xy[u]] = k
+    return index
+
+
+def reference_edge_between(g, a, b):
+    """``g.edge_between`` on two (x, y) tuples, by a lookup in
+    ``reference_edge_index``."""
+    k = reference_edge_index(g.n).get((a, b))
+    if k is None:
+        raise InvalidEdgeError(
+            f"({a[0]},{a[1]}) and ({b[0]},{b[1]}) are not adjacent in the side-{g.n} grid"
+        )
+    return g.edges[k]
+
+
+# -- rewiring ----------------------------------------------------------------
+
+
+def reference_rewire_shared_side(g, c1, c2, max_rounds=9):
+    """``rewire_shared_side`` by rotating both edge vectors until the
+    deficient side lies at the bottom, swapping ``Edge`` objects there, and
+    rotating them back."""
+    if c1.edge_set == c2.edge_set:
+        raise InvalidInputError("the two cycles must be distinct")
+    if signature(g, c1) != signature(g, c2):
+        raise InvalidInputError("the two cycles must have equal signatures")
+    spins = {Side.BOTTOM: 0, Side.LEFT: 2, Side.RIGHT: 1}
+    b1 = c1.edge_set.bits.copy()
+    b2 = c2.edge_set.bits.copy()
+    rounds = 0
+    while True:
+        missing = [s for s in Side if not (b1 & b2)[g.side_edge_indices(s)].any()]
+        if not missing:
+            break
+        if rounds >= max_rounds:
+            raise RewireError(f"no fixpoint after {rounds} rounds; still missing {missing}")
+        rounds += 1
+        side = missing[0]
+        for _ in range(spins[side]):
+            b1, b2 = permute_bits(b1, g.rotate_eperm), permute_bits(b2, g.rotate_eperm)
+        shared = b1 & b2
+        diagonals = [
+            j for j in range(2, g.n + 2) if shared[g.edge_index(Edge(Vertex(j, 1), Dir.NW))]
+        ]
+        if not diagonals:
+            raise RewireError(
+                f"no shared first-row diagonal available to rewire side {side.value}"
+            )
+        j = diagonals[0]
+        for bits in (b1, b2):
+            for e in (
+                Edge(Vertex(j, 1), Dir.NW),
+                Edge(Vertex(j - 1, 1), Dir.E),
+                Edge(Vertex(j - 1, 1), Dir.NE),
+            ):
+                bits[g.edge_index(e)] ^= True
+        for _ in range((3 - spins[side]) % 3):
+            b1, b2 = permute_bits(b1, g.rotate_eperm), permute_bits(b2, g.rotate_eperm)
+        r1 = validate_cycle(g, EdgeSet(g, b1))
+        r2 = validate_cycle(g, EdgeSet(g, b2))
+        if signature(g, r1) != signature(g, r2):
+            raise RewireError("rewiring broke signature equality")
+        if r1.edge_set == r2.edge_set:
+            raise RewireError("rewiring collapsed the two cycles")
+    return validate_cycle(g, EdgeSet(g, b1)), validate_cycle(g, EdgeSet(g, b2))
+
+
 # -- files ----------------------------------------------------------------
 
 
@@ -158,7 +246,7 @@ def _reference_lines(path, text):
         if parts[0] == "n":
             if n is not None:
                 raise FileFormatError(path, line_no, "duplicate n line")
-            if len(parts) != 2 or not parts[1].isdecimal():
+            if len(parts) != 2 or not re.fullmatch("[0-9]+", parts[1]):
                 raise FileFormatError(path, line_no, f"malformed n line: {raw!r}")
             n = int(parts[1])
             if not 1 <= n <= MAX_SIDE:
@@ -188,8 +276,8 @@ def _reference_edge_records(path, g, records):
             raise FileFormatError(path, line_no, f"unexpected record {parts[0]!r}")
         x1, y1, x2, y2 = _reference_ints(path, line_no, parts, 4)
         try:
-            e = g.edge_between((x1, y1), (x2, y2))
-        except Exception as exc:
+            e = reference_edge_between(g, (x1, y1), (x2, y2))
+        except InvalidEdgeError as exc:
             raise FileFormatError(path, line_no, str(exc)) from None
         if e in seen:
             raise FileFormatError(path, line_no, f"duplicate edge {e}")
@@ -203,6 +291,38 @@ def reference_loads_edge_set(text, path="<string>"):
     the edges seen so far."""
     n, records = _reference_lines(path, text)
     return _reference_edge_records(path, build_grid(n), records)
+
+
+_SEGMENT_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1))
+
+
+def reference_corner_walk_edges(g, corners):
+    """``corner_walk_edges`` one unit step and one ``Edge`` at a time, with a
+    set of the edges seen so far; returns the ``Edge`` objects in walk
+    order."""
+    if len(corners) < 2 or corners[0] != corners[-1]:
+        raise ValueError("corner walk must be closed (first corner repeated at the end)")
+    edges = []
+    seen = set()
+    for (x1, y1), (x2, y2) in zip(corners, corners[1:]):
+        dx, dy = x2 - x1, y2 - y1
+        steps = max(abs(dx), abs(dy))
+        if steps == 0:
+            raise ValueError(f"zero-length segment at corner ({x1},{y1})")
+        ux, uy = dx // steps, dy // steps
+        if (ux, uy) not in _SEGMENT_DIRS or (ux * steps, uy * steps) != (dx, dy):
+            raise ValueError(
+                f"segment ({x1},{y1})->({x2},{y2}) does not follow a grid direction"
+            )
+        for k in range(steps):
+            a = (x1 + k * ux, y1 + k * uy)
+            b = (x1 + (k + 1) * ux, y1 + (k + 1) * uy)
+            e = reference_edge_between(g, a, b)
+            if e in seen:
+                raise ValueError(f"walk reuses edge {e}")
+            seen.add(e)
+            edges.append(e)
+    return edges
 
 
 def reference_loads_cycle(text, path="<string>"):
@@ -221,7 +341,8 @@ def reference_loads_cycle(text, path="<string>"):
     if kinds == {"walk"}:
         corners = [tuple(_reference_ints(path, no, parts, 2)) for no, parts in records]
         try:
-            return validate_cycle(g, EdgeSet.from_edges(g, corner_walk_edges(g, corners)))
+            edges = reference_corner_walk_edges(g, corners)
+            return validate_cycle(g, EdgeSet.from_edges(g, edges))
         except Exception as exc:
             raise FileFormatError(path, records[0][0], str(exc)) from None
     raise FileFormatError(

@@ -8,7 +8,8 @@ subset for index 3.
 """
 
 from trislither import Cycle, EdgeSet, TriGrid, validate_cycle
-from trislither.fileio import corner_walk_edges
+
+from oracles import reference_corner_walk_edges
 
 T5_WALK_A = [
     (1, 1), (3, 1), (3, 2), (4, 2), (5, 1), (6, 1), (4, 3), (3, 3),
@@ -27,7 +28,7 @@ T6_HEX_RING_WALK = [
 
 
 def cycle_from_walk(g: TriGrid, walk) -> Cycle:
-    return validate_cycle(g, EdgeSet.from_edges(g, corner_walk_edges(g, walk)))
+    return validate_cycle(g, EdgeSet.from_edges(g, reference_corner_walk_edges(g, walk)))
 
 
 def t5_pair(g5: TriGrid) -> tuple[Cycle, Cycle]:

@@ -86,6 +86,26 @@ def test_verify_rejects_oversized_side_fast(tmp_path, capsys):
     assert "huge.edges:1" in err
 
 
+@pytest.mark.parametrize(
+    "walk,message",
+    [
+        ("walk 1 1\nwalk 1000000000001 1\nwalk 1 1\n", "(49,1) and (50,1) are not adjacent"),
+        (f"walk {10**29} 1\nwalk 1 1\nwalk {10**29} 1\n", f"({10**29},1) and ({10**29 - 1},1)"),
+    ],
+)
+def test_hostile_walk_fails_fast(tmp_path, capsys, walk, message):
+    a_path = tmp_path / "a.edges"
+    write_edge_set(a_path, basis_subset(build_grid(48), 2))
+    c_path = tmp_path / "c.cycle"
+    c_path.write_text("n 48\n" + walk)
+    t0 = time.perf_counter()
+    argv = ["transversal", "--in", str(a_path), "--c1", str(c_path), "--c2", str(c_path)]
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert f"c.cycle:2: {message}" in err
+
+
 @pytest.fixture
 def no_grid_build(monkeypatch):
     def refuse(n):

@@ -1,4 +1,7 @@
+import itertools
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +11,9 @@ from trislither import (
     Edge,
     EdgeSet,
     InvalidInputError,
+    InvalidParameterError,
     NotACycleError,
+    RewireError,
     Side,
     Vertex,
     basis_subset,
@@ -28,7 +33,7 @@ from trislither import (
 )
 from trislither.grid import Face
 
-from oracles import edge_mask, simple_cycle_masks
+from oracles import edge_mask, reference_rewire_shared_side, simple_cycle_masks
 from refcycles import t5_pair
 
 
@@ -101,6 +106,16 @@ def test_boundary_cycle_signature():
         assert sig[fi] == on_boundary
 
 
+def test_signature_checks_the_grid(g2, g5):
+    c5, _ = t5_pair(g5)
+    c2 = validate_cycle(g2, face_set(g2, (1, 1)))
+    for g, c in ((g2, c5), (g5, c2), (build_grid(4), c5)):
+        with pytest.raises(InvalidInputError, match="^edge set does not belong to this grid$"):
+            signature(g, c)
+    with pytest.raises(InvalidInputError, match="^edge set does not belong to this grid$"):
+        verify_pair(build_grid(4), *t5_pair(g5))
+
+
 def test_signature_total_counts_incidences(g5):
     c1, _ = t5_pair(g5)
     sig = signature(g5, c1)
@@ -137,7 +152,20 @@ def test_enumeration_sound(g3):
 
 def test_enumeration_limit(g3):
     assert len(list(enumerate_cycles(g3, limit=5))) == 5
+    assert len(list(enumerate_cycles(g3, limit=np.int64(5)))) == 5
     assert list(enumerate_cycles(g3, limit=0)) == []
+
+
+@pytest.mark.parametrize("budget", [2.5, 2.0, True, False, "3", np.float64(3), -1])
+def test_budgets_are_non_bool_integers(g3, budget):
+    if budget == -1:
+        message = r"^{} must be >= 0, got -1$"
+    else:
+        message = rf"^{{}} must be an integer, got {re.escape(repr(budget))}$"
+    with pytest.raises(InvalidParameterError, match=message.format("limit")):
+        list(enumerate_cycles(g3, limit=budget))
+    with pytest.raises(InvalidParameterError, match=message.format("max_cycles")):
+        census(g3, max_cycles=budget)
 
 
 # -- census -----------------------------------------------------------------------
@@ -172,8 +200,8 @@ def test_census_partial_budget(g3):
     assert full.total_cycles == 110
 
 
-def test_census_t5_finds_repeated_signatures(g5):
-    r = census(g5)
+def test_census_t5_finds_repeated_signatures(g5, census5):
+    r = census5
     assert r.max_multiplicity == 2
     assert len(r.pairs) == 8
     assert not r.partial
@@ -258,8 +286,8 @@ def test_zigzag_contained_in_any_subset_with_that_smallest_index(n):
 # -- rewiring ---------------------------------------------------------------------------
 
 
-def _toggled(g, cycle, js):
-    bits = cycle.edge_set.bits.copy()
+def _toggled(g, edge_set, js):
+    bits = edge_set.bits.copy()
     for j in js:
         for e in (
             Edge(Vertex(j, 1), Dir.NW),
@@ -289,8 +317,8 @@ def test_rewire_restores_bottom_sharing(g5):
     c1, c2 = t5_pair(g5)
     # Undo both bottom sharings: swap each shared corner path for its
     # diagonal shortcut in both cycles.
-    f1 = _toggled(g5, c1, [2, 6])
-    f2 = _toggled(g5, c2, [2, 6])
+    f1 = _toggled(g5, c1.edge_set, [2, 6])
+    f2 = _toggled(g5, c2.edge_set, [2, 6])
     assert signature(g5, f1) == signature(g5, f2)
     before = shared_side_edges(g5, f1, f2)
     assert before[Side.BOTTOM] == []
@@ -300,6 +328,38 @@ def test_rewire_restores_bottom_sharing(g5):
     assert signature(g5, r1) == signature(g5, r2)
     assert r1.edge_set != r2.edge_set
     assert is_totally_even(g5, r1.edge_set ^ r2.edge_set)
+
+
+def _rewire_outcome(rewire, g, c1, c2, max_rounds):
+    try:
+        r1, r2 = rewire(g, c1, c2, max_rounds)
+    except (InvalidInputError, RewireError) as exc:
+        return type(exc).__name__, str(exc)
+    return r1.edge_set, r2.edge_set
+
+
+def test_rewire_matches_reference(g5, census5):
+    """Every side-5 pair, under each grid symmetry, with up to two of its
+    bottom corner paths swapped for their diagonals, with and without
+    rounds to spare."""
+    rot, mirror = g5.rotate_eperm, g5.reflect_eperm
+    identity = np.arange(g5.num_edges)
+    symmetries = [identity, rot, rot[rot], mirror, rot[mirror], rot[rot[mirror]]]
+    outcomes = Counter()
+    swaps = [js for k in range(3) for js in itertools.combinations(range(2, 7), k)]
+    for pair in [t5_pair(g5), *census5.pairs]:
+        for perm, js in itertools.product(symmetries, swaps):
+            try:
+                c1, c2 = (_toggled(g5, c.edge_set.apply_perm(perm), js) for c in pair)
+            except NotACycleError:
+                continue
+            for max_rounds in (0, 9):
+                got = _rewire_outcome(rewire_shared_side, g5, c1, c2, max_rounds)
+                want = _rewire_outcome(reference_rewire_shared_side, g5, c1, c2, max_rounds)
+                assert got == want
+                rewired = got != (c1.edge_set, c2.edge_set)
+                outcomes[got[0] if isinstance(got[0], str) else rewired] += 1
+    assert outcomes[True] and outcomes[False] and outcomes["RewireError"], outcomes
 
 
 # -- divisibility witness ------------------------------------------------------------------

@@ -3,8 +3,10 @@ import pytest
 
 from trislither import (
     EdgeSet,
+    InvalidEdgeError,
     InvalidInputError,
     InvalidParameterError,
+    Vertex,
     basis_cardinality,
     basis_subset,
     bottom_pattern,
@@ -33,6 +35,14 @@ def test_single_edge_is_not(g5):
     a = EdgeSet.from_pairs(g5, [((1, 1), (2, 1))])
     assert not is_totally_even(g5, a)
     assert "odd incidence" in totally_even_violation(g5, a)
+
+
+def test_from_pairs_takes_vertices_and_integers_of_any_size(g5):
+    a = EdgeSet.from_pairs(g5, [(Vertex(1, 1), (2, 1)), ((1, 2), Vertex(1, 1))])
+    assert a.edges() == [g5.edge_between((1, 1), (2, 1)), g5.edge_between((1, 1), (1, 2))]
+    assert EdgeSet.from_pairs(g5, iter([])) == EdgeSet.empty(g5)
+    with pytest.raises(InvalidEdgeError, match=rf"^\(1,1\) and \({10**30},1\) are not adjacent"):
+        EdgeSet.from_pairs(g5, [((1, 1), (2, 1)), ((1, 1), (10**30, 1))])
 
 
 def test_odd_face_is_named_without_object_views():

@@ -1,8 +1,11 @@
+import functools
 import random
+import time
 
+import numpy as np
 import pytest
 
-from trislither import EdgeSet, FileFormatError, basis_subset, build_grid
+from trislither import EdgeSet, FileFormatError, basis_subset, build_grid, enumerate_cycles
 from trislither.fileio import (
     corner_walk_edges,
     dumps_cycle,
@@ -15,7 +18,7 @@ from trislither.fileio import (
     write_edge_set,
 )
 
-from oracles import reference_loads_cycle, reference_loads_edge_set
+from oracles import reference_corner_walk_edges, reference_loads_cycle, reference_loads_edge_set
 from refcycles import T5_WALK_A, cycle_from_walk
 
 
@@ -51,6 +54,7 @@ def test_comments_and_blank_lines_ignored():
         ("edge 1 1 2 1\n", "declare n"),
         ("n x\n", "malformed n"),
         ("n \u00b2\n", "malformed n"),
+        ("n \uff15\nedge 1 1 2 1\n", "<string>:1: malformed n line: 'n \uff15'"),
         ("n 0\n", "outside"),
         ("n 2\nn 3\n", "duplicate n"),
         ("n 2\nedge 1 1\n", "expected 4 integers"),
@@ -93,9 +97,12 @@ def test_cycle_roundtrip(tmp_path, g5):
     assert read_cycle(path).edge_set == c.edge_set
 
 
+def _walk_text(n, walk) -> str:
+    return "".join([f"n {n}\n"] + [f"walk {x} {y}\n" for x, y in walk])
+
+
 def test_cycle_from_walk_lines(g5):
-    lines = ["n 5"] + [f"walk {x} {y}" for x, y in T5_WALK_A]
-    c = loads_cycle("\n".join(lines) + "\n")
+    c = loads_cycle(_walk_text(5, T5_WALK_A))
     assert c.edge_set == cycle_from_walk(g5, T5_WALK_A).edge_set
 
 
@@ -145,8 +152,50 @@ def test_cycle_file_rejects_non_cycles():
 
 
 def test_corner_walk_multi_unit_segments(g5):
-    edges = corner_walk_edges(g5, [(1, 1), (4, 1), (1, 4), (1, 1)])
-    assert len(edges) == 9
+    walk = [(1, 1), (4, 1), (1, 4), (1, 1)]
+    ids = corner_walk_edges(g5, walk)
+    assert len(ids) == 9
+    assert [g5.edges[i] for i in ids] == reference_corner_walk_edges(g5, walk)
+
+
+@pytest.mark.parametrize(
+    "walk,message",
+    [
+        # A segment of 10^12 steps fails at its first step off the grid.
+        ([(1, 1), (10**12, 1), (1, 1)], "(6,1) and (7,1) are not adjacent in the side-5 grid"),
+        ([(10**30, 1), (1, 1), (10**30, 1)], f"({10**30},1) and ({10**30 - 1},1) are not"),
+        ([(1, -(10**30)), (1, 1), (1, -(10**30))], f"(1,{-(10**30)}) and (1,{1 - 10**30}) are"),
+        ([(1, 1), (1, 3), (1, 1)], "walk reuses edge (1,2)-(1,3)"),
+        # The earliest fault in walk order wins.
+        ([(1, 1), (3, 1), (3, 1), (9, 9), (1, 1)], "zero-length segment at corner (3,1)"),
+        ([(1, 1), (3, 1), (1, 1), (2, 2), (1, 1)], "walk reuses edge (2,1)-(3,1)"),
+        ([(1, 1), (2, 2), (1, 1), (1, 1)], "segment (1,1)->(2,2) does not follow"),
+        ([(1, 1), (2, 1)], "corner walk must be closed"),
+    ],
+)
+def test_corner_walk_faults(g5, walk, message):
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        corner_walk_edges(g5, walk)
+    assert time.perf_counter() - t0 < 1.0
+    assert message in str(exc.value)
+    with pytest.raises(ValueError) as ref:
+        reference_corner_walk_edges(g5, walk)
+    assert str(exc.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("form", ["edge", "walk"])
+def test_cycle_reader_passes_program_errors_through(monkeypatch, g5, form):
+    from trislither import fileio
+
+    def broken(g, a):
+        raise IndexError("injected")
+
+    monkeypatch.setattr(fileio, "validate_cycle", broken)
+    c = cycle_from_walk(g5, T5_WALK_A)
+    text = dumps_cycle(c) if form == "edge" else _walk_text(5, T5_WALK_A)
+    with pytest.raises(IndexError, match="injected"):
+        loads_cycle(text)
 
 
 def test_cycle_dump_is_edge_form(g5):
@@ -260,5 +309,88 @@ def test_cycle_reader_matches_reference(seed):
         lines = ["n 5"] + list(walk_lines if kind == "walk" else edge_lines)
         for _ in range(rng.choice([0, 1, 1, 2])):
             _mutate(rng, lines, kind)
+        text = "\n".join(lines) + "\n"
+        assert _outcome(loads_cycle, text) == _outcome(reference_loads_cycle, text), text
+
+
+@functools.cache
+def _cycle_walks(n: int) -> list[list[tuple[int, int]]]:
+    """Every simple cycle of the side-n grid as a closed corner walk from
+    its lowest vertex, one corner where the direction changes."""
+    g = build_grid(n)
+    walks = []
+    for c in enumerate_cycles(g):
+        nbrs = {}
+        for e in np.flatnonzero(c.edge_set.bits).tolist():
+            u, v = int(g.u_of_edge[e]), int(g.v_of_edge[e])
+            nbrs.setdefault(u, []).append(v)
+            nbrs.setdefault(v, []).append(u)
+        order = [min(nbrs), nbrs[min(nbrs)][0]]
+        while order[-1] != order[0]:
+            a, b = nbrs[order[-1]]
+            order.append(b if a == order[-2] else a)
+        xy = [tuple(g.vertex_xy[v].tolist()) for v in order]
+
+        def step(k):
+            return xy[k + 1][0] - xy[k][0], xy[k + 1][1] - xy[k][1]
+
+        turns = [k for k in range(1, len(xy) - 1) if step(k - 1) != step(k)]
+        walks.append([xy[0]] + [xy[k] for k in turns] + [xy[0]])
+    return walks
+
+
+_FAR = [10**12, -(10**12), 99999999999999999999, -12345678901234567890, 10**30]
+
+
+def _mutate_walk(rng, corners: list) -> None:
+    """Apply one random walk fault, or one harmless change, in place to the
+    corners of a closed walk, its closing corner left off."""
+    k = rng.randrange(len(corners))
+    x, y = corners[k]
+    choice = rng.randrange(7)
+    if choice == 0:
+        corners.insert(k, (x, y))  # a zero-length segment
+    elif choice == 1 and len(corners) > 1:
+        del corners[k]  # often a segment off the grid directions
+    elif choice == 2:
+        dx, dy = rng.choice([(1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1)])
+        corners[k + 1:k + 1] = [(x + dx, y + dy), (x, y)]  # there and back: a reused edge
+    elif choice == 3:
+        # Stretch a segment far along its direction.
+        nx, ny = corners[(k + 1) % len(corners)]
+        dx, dy = nx - x, ny - y
+        far = rng.choice(_FAR) // max(abs(dx), abs(dy), 1)
+        corners[k + 1:k + 1] = [(x + far * dx, y + far * dy)]
+    elif choice == 4:
+        corners[k] = rng.choice([(rng.choice(_FAR), y), (x, rng.choice(_FAR))])
+    elif choice == 5:
+        corners[k] = (x + rng.randint(-2, 2), y + rng.randint(-2, 2))
+    else:
+        corners[:] = corners[k:] + corners[:k]  # start from another corner
+
+
+def _walk_outcome(walk_edges, g, walk):
+    try:
+        edges = walk_edges(g, walk)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [g.edges[e] if isinstance(e, (int, np.integer)) else e for e in edges]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_walk_reader_matches_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        n = rng.choice([1, 2, 3, 3, 4, 4])
+        g = build_grid(n)
+        corners = rng.choice(_cycle_walks(n))[:-1]
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            _mutate_walk(rng, corners)
+        walk = corners + corners[:1] if rng.random() < 0.9 else corners  # now and then open
+        want = _walk_outcome(reference_corner_walk_edges, g, walk)
+        assert _walk_outcome(corner_walk_edges, g, walk) == want, walk
+        lines = _walk_text(n, walk).splitlines()
+        if rng.random() < 0.3:
+            _mutate(rng, lines, "walk")
         text = "\n".join(lines) + "\n"
         assert _outcome(loads_cycle, text) == _outcome(reference_loads_cycle, text), text

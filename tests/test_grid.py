@@ -15,7 +15,7 @@ from trislither import (
     build_grid,
 )
 
-from oracles import reference_layout
+from oracles import reference_edge_index, reference_layout
 
 
 @pytest.mark.parametrize(
@@ -213,6 +213,8 @@ def test_edge_between_accepts_either_order(g5):
     assert e == Edge(Vertex(3, 2), Dir.NW)
 
 
+# An overflow warning would reach a user's stderr.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_edge_ids_match_edge_between(n):
     g = build_grid(n)
@@ -221,17 +223,23 @@ def test_edge_ids_match_edge_between(n):
         (ax, ay, ax + dx, ay + dy)
         for ax in coords for ay in coords for dx in range(-2, 3) for dy in range(-2, 3)
     ]
-    # Pairs whose int64 differences wrap around.
+    # Pairs whose int64 differences would wrap around, and pairs past int64.
     lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-    ends = [lo, lo + 1, -1, 1, hi - 1, hi]
+    ends = [-(10**30), lo, lo + 1, -1, 1, 2, hi - 1, hi, 10**30]
     pairs += [(a, 1, b, 1) for a in ends for b in ends] + [(1, a, 1, b) for a in ends for b in ends]
-    got = g.edge_ids(*np.array(pairs).T)
+    index = reference_edge_index(n)
+    got = g.edge_ids(*np.array(pairs, dtype=object).T)
+    assert got.dtype == np.int64
     for (ax, ay, bx, by), i in zip(pairs, got.tolist()):
-        try:
-            want = g.edge_index(g.edge_between((ax, ay), (bx, by)))
-        except InvalidEdgeError:
-            want = -1
+        want = index.get(((ax, ay), (bx, by)), -1)
         assert i == want, (ax, ay, bx, by)
+        assert g.edge_ids(ax, ay, bx, by) == want
+        if want < 0:
+            message = rf"^\({ax},{ay}\) and \({bx},{by}\) are not adjacent in the side-{n} grid$"
+            with pytest.raises(InvalidEdgeError, match=message):
+                g.edge_between((ax, ay), (bx, by))
+        else:
+            assert g.edge_between(Vertex(ax, ay), (bx, by)) == g.edges[want]
 
 
 @pytest.mark.parametrize("n", [*range(1, 13), 40])

@@ -24,6 +24,15 @@ def test_signature_words_pack_two_bits_per_face():
         assert int.from_bytes(packed.tobytes(), "little") == expected
 
 
+def test_signature_words_take_zero_rows():
+    g = build_grid(3)
+    rows = np.zeros((0, g.num_edges), dtype=bool)
+    words = _kernels.signature_words(rows, g.face_edges_idx)
+    assert words.shape == (0, (2 * g.num_faces + 7) // 8)
+    r = census(g, max_cycles=0)
+    assert r.partial and r.total_cycles == 0 and r.multiplicities == {}
+
+
 def test_budgeted_census_stops_enumerating_at_budget(monkeypatch, g5):
     enumerated = []
     dfs = _kernels.cycles_from_root
