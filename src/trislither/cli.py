@@ -118,8 +118,8 @@ def _cmd_transversal(args) -> int:
         if indices and indices[0] % 2 == 1:
             print(f"note: smallest decomposition index {indices[0]} is odd (obstructed)")
     if args.c1 is not None:
-        c1 = read_cycle(args.c1)
-        c2 = read_cycle(args.c2)
+        c1 = read_cycle(args.c1, grid=g)
+        c2 = read_cycle(args.c2, grid=g)
         alt = alternation_check(g, a, c1, c2)
         print(f"alternation: {'OK' if alt else 'FAIL'}")
         ok = ok and alt

@@ -131,9 +131,7 @@ def _root_batches(g: TriGrid, budget: int | None) -> Iterator[np.ndarray]:
     for root in range(g.num_vertices):
         if remaining == 0:
             return
-        rows = _kernels.cycles_from_root(
-            root, g.nbr, g.nbr_edge, g.deg, g.num_edges, remaining
-        )
+        rows = _kernels.cycles_from_root(g, root, remaining)
         if remaining > 0:
             remaining -= rows.shape[0]
         yield rows

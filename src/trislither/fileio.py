@@ -71,12 +71,14 @@ def _parse_lines(path: str, text: str):
     if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdecimal()):
         raw = text.splitlines()[line_no - 1]
         raise FileFormatError(path, line_no, f"malformed n line: {raw!r}")
-    n = int(parts[1])
-    if not 1 <= n <= MAX_SIDE:
-        raise FileFormatError(path, line_no, f"grid side {n} is outside 1..{MAX_SIDE}")
+    # The side as int() prints it, read without int() where it has more
+    # digits than any side can: int() refuses thousands of digits.
+    side = parts[1].lstrip("0") or "0"
+    if len(side) > len(str(MAX_SIDE)) or not 1 <= int(side) <= MAX_SIDE:
+        raise FileFormatError(path, line_no, f"grid side {side} is outside 1..{MAX_SIDE}")
     if len(heads) > 1:
         raise FileFormatError(path, lines[heads[1]][0], "duplicate n line")
-    return n, lines[1:]
+    return int(side), lines[1:]
 
 
 _FIELD_COUNTS = {"edge": 4, "walk": 2}
@@ -115,6 +117,24 @@ def _int_fields(path: str, records, kind: str) -> tuple[list[str], FileFormatErr
     return fields, FileFormatError(path, line_no, message)
 
 
+def _ints(path: str, records, fields: list[str], count: int) -> list[int]:
+    """The integer fields of ``records``, ``count`` to a record. A field with
+    more digits than ``int`` converts (``sys.get_int_max_str_digits``) is
+    reported at the line of its record."""
+    try:
+        return list(map(int, fields))
+    except ValueError:  # every field is a plain integer, so one is too long
+        pass
+    for k, field in enumerate(fields):
+        try:
+            int(field)
+        except ValueError:
+            digits = len(field.lstrip("-"))
+            raise FileFormatError(
+                path, records[k // count][0], f"integer field too long: {digits} digits"
+            ) from None
+
+
 def _first_fault(ids: np.ndarray) -> int:
     """Position of the first id that is -1 or repeats an earlier one, else len(ids)."""
     off = np.flatnonzero(ids < 0)
@@ -141,7 +161,7 @@ def _edge_records(path: str, g: TriGrid, records) -> EdgeSet:
     k = _first_fault(ids)
     if k < len(ids):
         line_no, parts = records[k]
-        x1, y1, x2, y2 = map(int, parts[1:])
+        x1, y1, x2, y2 = _ints(path, [records[k]], parts[1:], 4)
         try:
             edge = g.edge_between((x1, y1), (x2, y2))
         except InvalidEdgeError as exc:
@@ -211,9 +231,10 @@ def write_cycle(path: str | os.PathLike, c: Cycle) -> None:
         fh.write(dumps_cycle(c))
 
 
-def loads_cycle(text: str, path: str = "<string>") -> Cycle:
+def loads_cycle(text: str, path: str = "<string>", grid: TriGrid | None = None) -> Cycle:
+    """The cycle of a cycle file, on ``grid`` if the file declares its side."""
     n, records = _parse_lines(path, text)
-    g = build_grid(n)
+    g = grid if grid is not None and grid.n == n else build_grid(n)
     kinds = {parts[0] for _, parts in records}
     if not records:
         raise FileFormatError(path, 0, "cycle file has no edge or walk records")
@@ -225,9 +246,10 @@ def loads_cycle(text: str, path: str = "<string>") -> Cycle:
             raise FileFormatError(path, records[0][0], str(exc)) from None
     if kinds == {"walk"}:
         fields, error = _int_fields(path, records, "walk")
+        values = _ints(path, records, fields, 2)
         if error is not None:
             raise error
-        corners = list(zip(map(int, fields[::2]), map(int, fields[1::2])))
+        corners = list(zip(values[::2], values[1::2]))
         try:
             ids = corner_walk_edges(g, corners)
             return validate_cycle(g, EdgeSet(g, np.bincount(ids, minlength=g.num_edges) > 0))
@@ -238,6 +260,6 @@ def loads_cycle(text: str, path: str = "<string>") -> Cycle:
     )
 
 
-def read_cycle(path: str | os.PathLike) -> Cycle:
+def read_cycle(path: str | os.PathLike, grid: TriGrid | None = None) -> Cycle:
     with open(path, "r", encoding="ascii") as fh:
-        return loads_cycle(fh.read(), path=str(path))
+        return loads_cycle(fh.read(), path=str(path), grid=grid)

@@ -5,7 +5,8 @@ DFS: they filter all 2^|E| edge subsets directly, so they only make sense
 for tiny grids. The side rewiring, the file reader, the corner walk and
 the SVG renderer below are the step-by-step, object-by-object forms of
 the array paths in ``trislither.cycles``, ``trislither.fileio`` and
-``trislither.svgfig``.
+``trislither.svgfig``. The cycle DFS below is the census kernel without its
+pruning: it extends every path, whether or not the path can still close.
 """
 
 import functools
@@ -348,6 +349,52 @@ def reference_loads_cycle(text, path="<string>"):
     raise FileFormatError(
         path, records[0][0], "cycle file must contain only edge lines or only walk lines"
     )
+
+
+# -- cycle DFS -------------------------------------------------------------
+
+
+def reference_cycles_from_root(g, root, limit):
+    """``trislither._kernels.cycles_from_root`` as a plain DFS that enters
+    every vertex above root off the path, one boolean edge row per cycle.
+
+    A ``limit`` >= 1 stops after that many cycles; -1 means no limit.
+    """
+    nbr, nbr_edge, deg, n_edges = g.nbr, g.nbr_edge, g.deg, g.num_edges
+    steps = [
+        [(w, e) for w, e in zip(ws[:d], es[:d]) if w >= root]
+        for ws, es, d in zip(nbr.tolist(), nbr_edge.tolist(), deg.tolist())
+    ]
+    out = np.zeros((256, n_edges), dtype=bool)
+    count = 0
+    on_path = [False] * len(steps)
+    on_path[root] = True
+    path_vertex = [root]
+    # path_edge[d] is the edge walked into path_vertex[d + 1].
+    path_edge: list[int] = []
+    branches = [iter(steps[root])]
+    while branches:
+        for w, e in branches[-1]:
+            if w == root:
+                if len(path_vertex) >= 3 and path_vertex[1] < path_vertex[-1]:
+                    if count == out.shape[0]:
+                        out = np.concatenate([out, np.zeros_like(out)])
+                    out[count, path_edge + [e]] = True
+                    count += 1
+                    if 0 <= limit <= count:
+                        return out[:count]
+            elif not on_path[w]:
+                on_path[w] = True
+                path_vertex.append(w)
+                path_edge.append(e)
+                branches.append(iter(steps[w]))
+                break
+        else:
+            branches.pop()
+            on_path[path_vertex.pop()] = False
+            if path_edge:
+                path_edge.pop()
+    return out[:count]
 
 
 # -- SVG ------------------------------------------------------------------

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import trislither
 from trislither import EdgeSet, basis_subset, build_grid
 from trislither import cli
 from trislither.cli import main
@@ -106,6 +110,23 @@ def test_hostile_walk_fails_fast(tmp_path, capsys, walk, message):
     assert f"c.cycle:2: {message}" in err
 
 
+def test_overlong_field_is_a_file_error(tmp_path, capsys, g5):
+    long = "1" * 5000
+    e_path = tmp_path / "long.edges"
+    e_path.write_text(f"n 5\nedge 1 1 {long} 1\n")
+    code, out, err = run(capsys, "verify", "--in", str(e_path))
+    assert (code, out) == (2, "")
+    assert "long.edges:2: integer field too long: 5000 digits" in err
+    a_path = tmp_path / "a.edges"
+    write_edge_set(a_path, basis_subset(g5, 2))
+    c_path = tmp_path / "long.cycle"
+    c_path.write_text(f"n 5\nwalk 1 1\nwalk {long} 1\nwalk 1 1\n")
+    argv = ["transversal", "--in", str(a_path), "--c1", str(c_path), "--c2", str(c_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "long.cycle:3: integer field too long: 5000 digits" in err
+
+
 @pytest.fixture
 def no_grid_build(monkeypatch):
     def refuse(n):
@@ -136,6 +157,21 @@ def test_budgeted_census_past_side_5(capsys):
     assert code == 0
     assert "cycles: 10" in out
     assert "partial: yes" in out
+
+
+def test_budgeted_census_on_a_large_grid_exits_in_time():
+    """The census DFS enters only vertices that can still close a cycle, so
+    a small budget on a side-48 grid cannot hang between two cycles."""
+    src = os.path.dirname(os.path.dirname(trislither.__file__))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "trislither.cli", "census", "--n", "48", "--max-cycles", "2"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "cycles: 2" in proc.stdout
+    assert "partial: yes" in proc.stdout
 
 
 def test_census_t1(capsys):
@@ -215,6 +251,35 @@ def test_transversal_with_pair_and_svg(tmp_path, capsys, g5):
     text = svg_path.read_text()
     # Three 4-node paths contribute 3 links each, the 12-node loop 12.
     assert text.count('class="transversal"') == 21
+
+
+@pytest.mark.parametrize("other_side, built", [(5, [5]), (6, [5, 6])])
+def test_transversal_reads_the_cycles_onto_the_subset_grid(
+    tmp_path, capsys, monkeypatch, g5, other_side, built
+):
+    from trislither import fileio
+    from trislither.cycles import enumerate_cycles
+
+    c1, c2 = t5_pair(g5)
+    a_path = tmp_path / "a.edges"
+    write_edge_set(a_path, c1.edge_set ^ c2.edge_set)
+    if other_side != 5:
+        c2 = next(enumerate_cycles(build_grid(other_side), limit=1))
+    paths = [tmp_path / "c1.cycle", tmp_path / "c2.cycle"]
+    for path, c in zip(paths, (c1, c2)):
+        write_cycle(path, c)
+    sides = []
+    build = fileio.build_grid
+    monkeypatch.setattr(fileio, "build_grid", lambda n: sides.append(n) or build(n))
+    argv = ["transversal", "--in", str(a_path), "--c1", str(paths[0]), "--c2", str(paths[1])]
+    code, out, err = run(capsys, *argv)
+    assert sides == built
+    if other_side == 5:
+        assert (code, err) == (0, "")
+        assert "alternation: OK" in out
+    else:
+        assert code == 2
+        assert err == "error: edge sets live on different grids (n=5 vs n=6)\n"
 
 
 @pytest.mark.parametrize("flag", ["--c1", "--c2"])

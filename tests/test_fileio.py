@@ -90,6 +90,41 @@ def test_edge_set_parse_errors(text, fragment):
     assert fragment in str(exc.value)
 
 
+_LONG = "1" * 5000  # more digits than int() converts by default (4300)
+
+
+@pytest.mark.parametrize(
+    "loads, text, fragment",
+    [
+        (loads_edge_set, f"n 5\nedge 1 1 {_LONG} 1\n", "<string>:2: integer field too long: 5000 digits"),
+        (loads_edge_set, f"n 5\nedge 1 1 2 1\nedge 1 1 -{_LONG} 1\nblob\n", "<string>:3: integer field too long"),
+        (loads_edge_set, f"n 5\nedge 1 1 3 1\nedge 1 1 {_LONG} 1\n", "<string>:2: (1,1) and (3,1) are not adjacent"),
+        (loads_cycle, f"n 5\nedge 1 1 {_LONG} 1\n", "<string>:2: integer field too long: 5000 digits"),
+        (loads_cycle, f"n 5\nwalk 1 1\nwalk {_LONG} 1\nwalk 1 1\n", "<string>:3: integer field too long: 5000 digits"),
+        (loads_cycle, f"n 5\nwalk 1 1\nwalk 1 -{_LONG}\nwalk 1 1\nwalk 1\n", "<string>:3: integer field too long"),
+        (loads_cycle, f"n 5\nwalk 1 1\nwalk 1 1 1\nwalk {_LONG} 1\n", "<string>:3: expected 2 integers"),
+        (loads_edge_set, f"n {_LONG}\nedge 1 1 2 1\n", f"<string>:1: grid side {_LONG} is outside 1..256"),
+        (loads_cycle, f"n 0{_LONG}\nwalk 1 1\n", f"<string>:1: grid side {_LONG} is outside 1..256"),
+    ],
+    ids=["edge", "edge-then-blob", "earlier-edge-fault", "cycle-edge", "walk", "walk-then-short",
+         "short-walk-first", "side", "zero-padded-side"],
+)
+def test_fields_past_the_int_digit_limit(loads, text, fragment):
+    """A field with more digits than int() converts is a format error at its
+    line, not Python's digit-limit ValueError."""
+    with pytest.raises(FileFormatError) as exc:
+        loads(text)
+    assert fragment in str(exc.value)
+
+
+def test_long_zero_padded_fields_keep_their_value():
+    pad = "0" * 5000
+    assert loads_edge_set(f"n {pad}2\nedge 1 1 {pad}2 1\n") == loads_edge_set("n 2\nedge 1 1 2 1\n")
+    with pytest.raises(FileFormatError) as exc:
+        loads_edge_set(f"n 2\nedge 1 1 2 1\nedge 1 1 {pad}2 1\n")
+    assert "<string>:3: integer field too long: 5001 digits" in str(exc.value)
+
+
 def test_cycle_roundtrip(tmp_path, g5):
     c = cycle_from_walk(g5, T5_WALK_A)
     path = tmp_path / "c.cycle"

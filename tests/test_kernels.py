@@ -1,21 +1,128 @@
-import numpy as np
+import signal
+import time
 
+import numpy as np
+import pytest
+
+from oracles import reference_cycles_from_root
 from trislither import build_grid, census
 from trislither import _kernels
 
 
 def test_limit_truncates():
     g = build_grid(3)
-    full = _kernels.cycles_from_root(0, g.nbr, g.nbr_edge, g.deg, g.num_edges, -1)
+    full = _kernels.cycles_from_root(g, 0, -1)
     assert full.shape[0] > 3
-    cut = _kernels.cycles_from_root(0, g.nbr, g.nbr_edge, g.deg, g.num_edges, 3)
+    cut = _kernels.cycles_from_root(g, 0, 3)
     assert cut.shape[0] == 3
     assert np.array_equal(cut, full[:3])
 
 
+def test_limit_zero_gives_no_rows():
+    g = build_grid(3)
+    rows = _kernels.cycles_from_root(g, 0, 0)
+    assert rows.shape == (0, g.num_edges) and rows.dtype == bool
+
+
+@pytest.mark.parametrize(
+    "n, limits",
+    [
+        (1, (-1, 1, 2)),
+        (2, (-1, 1, 2, 7)),
+        (3, (-1, 1, 7, 50)),
+        (4, (-1, 1, 7, 333, 1000)),
+        (5, (-1, 1, 333, 2001)),
+    ],
+)
+def test_dfs_matches_reference(n, limits):
+    """Same rows in the same order as the unpruned DFS, for every root."""
+    g = build_grid(n)
+    for limit in limits:
+        for root in range(g.num_vertices):
+            rows = _kernels.cycles_from_root(g, root, limit)
+            expected = reference_cycles_from_root(g, root, limit)
+            assert rows.dtype == bool and rows.shape == expected.shape, (limit, root)
+            assert np.array_equal(rows, expected), (limit, root)
+
+
+def _bit(g, v):
+    """Bit of vertex ``v`` in the kernel's padded row layout."""
+    x, y = g.vertex_xy[v].tolist()
+    return y * (g.n + 2) + x - 1
+
+
+def _components(g, vertices):
+    """Connected components of the subgraph of ``g`` induced by ``vertices``."""
+    left, count = set(vertices), 0
+    while left:
+        count += 1
+        stack = [left.pop()]
+        while stack:
+            v = stack.pop()
+            for w in g.nbr[v, : g.deg[v]].tolist():
+                if w in left:
+                    left.remove(w)
+                    stack.append(w)
+    return count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ring_splits_exactly_when_the_neighbours_fall_apart(n):
+    """A vertex is a local cut iff the chosen neighbours, as a subgraph of the
+    grid, have two or more components; the ring code holds just those."""
+    g = build_grid(n)
+    for v in range(g.num_vertices):
+        nbrs = g.nbr[v, : g.deg[v]].tolist()
+        for pick in range(1 << len(nbrs)):
+            chosen = [w for k, w in enumerate(nbrs) if pick >> k & 1]
+            mask = sum(1 << _bit(g, w) for w in chosen)
+            code = _kernels._ring(mask | 1 << _bit(g, v), _bit(g, v), n + 2)
+            assert bin(code).count("1") == len(chosen)
+            assert _kernels._SPLITS[code] == (_components(g, chosen) >= 2), (v, chosen)
+
+
+def test_flood_matches_search():
+    g = build_grid(4)
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        inside = set(np.flatnonzero(rng.random(g.num_vertices) < 0.6).tolist())
+        seeds = [v for v in range(g.num_vertices) if rng.random() < 0.15]
+        reach, stack = set(), [v for v in seeds if v in inside]
+        while stack:
+            v = stack.pop()
+            if v not in reach:
+                reach.add(v)
+                stack.extend(w for w in g.nbr[v, : g.deg[v]].tolist() if w in inside)
+        within = sum(1 << _bit(g, v) for v in inside)
+        got = _kernels._flood(sum(1 << _bit(g, v) for v in seeds), within, g.n + 1)
+        assert got == sum(1 << _bit(g, v) for v in reach)
+
+
+def _interrupt(signum, frame):
+    raise TimeoutError("census did not finish in time")
+
+
+@pytest.mark.parametrize("n, budget", [(8, 5), (48, 2)])
+def test_budgeted_census_past_side_5_is_quick(n, budget):
+    """Every vertex the DFS enters lies on a path to a cycle, so a small
+    budget ends fast however large the grid (the unpruned DFS ran past 60 s)."""
+    g = build_grid(n)
+    previous = signal.signal(signal.SIGALRM, _interrupt)
+    signal.alarm(10)
+    try:
+        t0 = time.perf_counter()
+        r = census(g, max_cycles=budget)
+        elapsed = time.perf_counter() - t0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 5.0
+    assert r.partial and r.total_cycles == budget
+
+
 def test_signature_words_pack_two_bits_per_face():
     g = build_grid(3)
-    rows = _kernels.cycles_from_root(0, g.nbr, g.nbr_edge, g.deg, g.num_edges, -1)
+    rows = _kernels.cycles_from_root(g, 0, -1)
     words = _kernels.signature_words(rows, g.face_edges_idx)
     for row, packed in zip(rows, words):
         expected = 0
