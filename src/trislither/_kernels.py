@@ -34,9 +34,10 @@ def _ring(mask, q, s2):
 def _flood(seeds, within, s1):
     """The bits of ``within`` joined to ``seeds`` through ``within``.
 
-    Masks hold vertex (x, y) at bit y*(n+2) + x-1, so the six neighbour
-    moves are shifts by 1, s1 = n+1 and n+2. Each row ends in a bit that is
-    no vertex, so ``within`` stops a shift that would wrap between rows.
+    Masks hold vertex (x, y) at bit y*(n+2) + x-1 (``TriGrid.vertex_bit``),
+    so the six neighbour moves are shifts by 1, s1 = n+1 and n+2. Each row
+    ends in a bit that is no vertex, so ``within`` stops a shift that would
+    wrap between rows.
     """
     reach = seeds & within
     while True:
@@ -73,23 +74,19 @@ def cycles_from_root(g, root, limit):
     if limit == 0:
         return np.zeros((0, g.num_edges), dtype=bool)
     s1, s2 = g.n + 1, g.n + 2
-    x, y = g.vertex_xy.T
-    pos = y * s2 + x - 1
     above = np.zeros(s2 * s2, dtype=bool)
-    above[pos[root + 1 :]] = True
+    above[g.vertex_bit[root + 1 :]] = True
     free = int.from_bytes(np.packbits(above, bitorder="little").tobytes(), "little")
-    pos = pos.tolist()
-    # (neighbour, edge, bit) steps, keeping only the vertices a cycle rooted
-    # here may visit.
-    steps = [
-        [(w, e, pos[w]) for w, e in zip(ws[:d], es[:d]) if w >= root]
-        for ws, es, d in zip(g.nbr.tolist(), g.nbr_edge.tolist(), g.deg.tolist())
-    ]
+    # (neighbour, edge, bit) steps. A step below root is never alive, so only
+    # the first step needs to skip those.
+    steps = g.nbr_steps
     # The path's edges as one byte each, and the emitted rows end to end.
     on_path = bytearray(g.num_edges)
     rows = bytearray()
     count = 0
     for first, first_edge, q in steps[root]:
+        if first < root:
+            continue  # free ^ 1 << q would set its bit
         targets = sum(1 << p for w, _, p in steps[root] if w > first)
         alive = _flood(targets, free ^ 1 << q, s1)
         if not _ring(alive, q, s2):  # no way on from first back to a target

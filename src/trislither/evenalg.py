@@ -166,46 +166,61 @@ def _vertex_degrees(g: TriGrid, bits: np.ndarray) -> np.ndarray:
     return np.bincount(ends, minlength=g.num_vertices)
 
 
-# -- GF(2) elimination over int bitsets --------------------------------------
+# -- banded GF(2) elimination over int bitsets ------------------------------
+#
+# Edges are numbered row by row, so every parity row spans at most 3n+2
+# consecutive edge indices. A row is kept as its lowest edge index and the
+# int bitset shifted right by it; the elimination and the back-substitution
+# below work on these short ints only and never on a full-width row.
 
 
-def _constraint_rows(g: TriGrid) -> list[int]:
-    """Vertex-parity and face-parity rows, one int bitset per constraint."""
-    rows = []
-    for vi in range(g.num_vertices):
-        row = 0
-        for ei in g.vertex_edges_idx[vi]:
-            row |= 1 << int(ei)
-        rows.append(row)
-    for triple in g.face_edges_idx:
-        row = 0
-        for ei in triple:
-            row |= 1 << int(ei)
-        rows.append(row)
-    return rows
+def _constraint_rows(g: TriGrid) -> list[tuple[int, int]]:
+    """Vertex-parity then face-parity rows, each as (lowest edge, row >> lowest edge)."""
+    return _shifted_rows(g.nbr_edge, g.num_edges) + _shifted_rows(g.face_edges_idx, g.num_edges)
 
 
-def _rref(rows: list[int], cols: Iterable[int]) -> tuple[list[int], dict[int, int]]:
-    """Gauss-Jordan elimination; returns reduced rows and {pivot_col: row}."""
-    rows = rows[:]
+def _shifted_rows(edges: np.ndarray, n_edges: int) -> list[tuple[int, int]]:
+    # One row per line of ``edges``, whose -1 entries are padding.
+    valid = edges >= 0
+    lo = np.where(valid, edges, n_edges).min(axis=1)
+    r, k = np.nonzero(valid)
+    offset = edges[r, k] - lo[r]
+    width = int(offset.max()) // 8 + 1
+    packed = np.zeros((len(edges), width), dtype=np.uint8)
+    np.bitwise_or.at(packed, (r, offset >> 3), (1 << (offset & 7)).astype(np.uint8))
+    data = packed.tobytes()
+    return [
+        (c, int.from_bytes(data[i * width : (i + 1) * width], "little"))
+        for i, c in enumerate(lo.tolist())
+    ]
+
+
+def _rref(rows: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Row echelon form by lowest bit: {pivot column: row shifted right by it}.
+
+    Each (lowest column, shifted row) is reduced while a stored row has its
+    pivot at the row's lowest column, and stored at the first lowest column
+    that has none; rows that reduce to zero are dropped. The pivot columns
+    are those of the reduced row echelon form, as the set of lowest columns
+    of a row space does not depend on how it is eliminated. A row never
+    grows past the highest column of the rows it was reduced by, so none is
+    wider than the widest parity row (3n-1 bits once stored, at sides up to
+    256).
+    """
     pivots: dict[int, int] = {}
-    r = 0
-    for c in cols:
-        bit = 1 << c
-        pivot_row = None
-        for k in range(r, len(rows)):
-            if rows[k] & bit:
-                pivot_row = k
+    for lo, row in rows:
+        while True:
+            pivot = pivots.get(lo)
+            if pivot is None:
+                pivots[lo] = row
                 break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        for k in range(len(rows)):
-            if k != r and rows[k] & bit:
-                rows[k] ^= rows[r]
-        pivots[c] = r
-        r += 1
-    return rows, pivots
+            row ^= pivot  # clears bit 0
+            if not row:
+                break
+            step = (row & -row).bit_length() - 1
+            row >>= step
+            lo += step
+    return pivots
 
 
 def _int_bits(value: int, n_bits: int) -> np.ndarray:
@@ -215,23 +230,41 @@ def _int_bits(value: int, n_bits: int) -> np.ndarray:
 
 
 def null_space_oracle(g: TriGrid) -> tuple[list[EdgeSet], int]:
-    """Basis of the parity-constraint null space, by Gaussian elimination.
+    """Basis of the parity-constraint null space, by banded GF(2) elimination.
 
-    Returns (basis, dimension). Independent of the constructive basis:
-    this only ever sees the vertex/face parity matrix.
+    Returns (basis, dimension). Each column without a pivot gives one basis
+    vector, in column order: the null vector that is 1 there and 0 at every
+    other pivot-free column, as in the reduced row echelon form. It is
+    found by back-substitution from that column down, where a pivot
+    column's bit is the parity of its row against the bits already set
+    above it, all within a window as wide as the widest row. Independent of
+    the constructive basis: this only ever sees the vertex/face parity
+    matrix.
     """
     n_edges = g.num_edges
-    rows, pivots = _rref(_constraint_rows(g), range(n_edges))
-    free_cols = [c for c in range(n_edges) if c not in pivots]
+    pivots = _rref(_constraint_rows(g))
+    rows = [pivots.get(c, 0) for c in range(n_edges)]  # 0 at a free column
+    # The window holds at least the bits a row can reach above its pivot and
+    # is written out a whole number of bytes at a time.
+    span = -(-max(map(int.bit_length, rows)) // 8) * 8
+    keep = (1 << span) - 1
     basis = []
-    for c in free_cols:
-        vec = 1 << c
-        cbit = 1 << c
-        for pc, pr in pivots.items():
-            if rows[pr] & cbit:
-                vec |= 1 << pc
-        basis.append(EdgeSet(g, _int_bits(vec, n_edges)))
-    return basis, len(free_cols)
+    for free in range(n_edges):
+        if rows[free]:
+            continue
+        vec = bytearray(-(-n_edges // span) * span // 8)
+        window, top = 1, free
+        for start in range(free // span * span, -1, -span):
+            for row in reversed(rows[start:top]):
+                window <<= 1
+                if (window & row).bit_count() & 1:
+                    window |= 1
+            window &= keep  # bit k is now the bit of column start + k
+            vec[start // 8 : (start + span) // 8] = window.to_bytes(span // 8, "little")
+            top = start
+        bits = np.unpackbits(np.frombuffer(vec, np.uint8), count=n_edges, bitorder="little")
+        basis.append(EdgeSet(g, bits.view(bool)))
+    return basis, len(basis)
 
 
 # -- the constructive basis ---------------------------------------------------

@@ -190,9 +190,12 @@ class TriGrid:
         integers of any size; -1 where the two are not adjacent vertices of this grid."""
         # Integers other than int64 are clipped to 0 .. n+3, which keeps them
         # off the grid if they were; where int64 arithmetic wraps, both ends are.
+        # A plain int is clipped by min and max, much faster than np.clip.
+        hi = self.n + 3
         ax, ay, bx, by = (
             v if getattr(v, "dtype", None) == np.int64
-            else np.asarray(np.clip(v, 0, self.n + 3), np.int64)
+            else np.int64(min(max(v, 0), hi)) if type(v) is int
+            else np.asarray(np.clip(v, 0, hi), np.int64)
             for v in (ax, ay, bx, by)
         )
         dx, dy = bx - ax, by - ay
@@ -229,6 +232,24 @@ class TriGrid:
         rows = np.sort(self.nbr_edge, axis=1)  # the -1 padding sorts first
         k = rows.shape[1]
         return tuple(row[k - d:] for row, d in zip(rows, self.deg.tolist()))
+
+    @cached_property
+    def vertex_bit(self) -> np.ndarray:
+        """Bit y*(n+2) + x-1 of each vertex (x, y) in a row-padded vertex
+        bitmask. Each row ends in a bit that is no vertex, so the six
+        neighbour moves are shifts by 1, n+1 and n+2 that never wrap."""
+        x, y = self.vertex_xy.T
+        return y * (self.n + 2) + x - 1
+
+    @cached_property
+    def nbr_steps(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """(neighbour, edge, neighbour's ``vertex_bit``) for each vertex, in
+        neighbour order."""
+        bit = self.vertex_bit.tolist()
+        return tuple(
+            tuple((w, e, bit[w]) for w, e in zip(ws[:d], es[:d]))
+            for ws, es, d in zip(self.nbr.tolist(), self.nbr_edge.tolist(), self.deg.tolist())
+        )
 
     @cached_property
     def _faces_of_edge(self) -> tuple[tuple[int, ...], ...]:

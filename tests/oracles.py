@@ -2,7 +2,8 @@
 
 The subset oracles deliberately avoid the library's linear algebra and
 DFS: they filter all 2^|E| edge subsets directly, so they only make sense
-for tiny grids. The side rewiring, the file reader, the corner walk and
+for tiny grids. The null-space oracle below is the dense Gauss-Jordan form
+of the banded elimination in ``trislither.evenalg``. The side rewiring, the file reader, the corner walk and
 the SVG renderer below are the step-by-step, object-by-object forms of
 the array paths in ``trislither.cycles``, ``trislither.fileio`` and
 ``trislither.svgfig``. The cycle DFS below is the census kernel without its
@@ -26,7 +27,7 @@ from trislither import (
     build_grid,
 )
 from trislither.cycles import signature, validate_cycle
-from trislither.evenalg import permute_bits
+from trislither.evenalg import _int_bits, permute_bits
 from trislither.fileio import MAX_SIDE
 from trislither.grid import Dir, Edge, Vertex
 
@@ -54,6 +55,63 @@ def all_even_subset_masks(g: TriGrid) -> set[int]:
             par ^= ((masks >> ei) & 1).astype(np.int8)
         ok &= par == 0
     return {int(m) for m in masks[ok]}
+
+
+def _reference_constraint_rows(g: TriGrid) -> list[int]:
+    """Vertex-parity and face-parity rows, one int bitset per constraint."""
+    rows = []
+    for vi in range(g.num_vertices):
+        row = 0
+        for ei in g.vertex_edges_idx[vi]:
+            row |= 1 << int(ei)
+        rows.append(row)
+    for triple in g.face_edges_idx:
+        row = 0
+        for ei in triple:
+            row |= 1 << int(ei)
+        rows.append(row)
+    return rows
+
+
+def _reference_rref(rows: list[int], cols) -> tuple[list[int], dict[int, int]]:
+    """Gauss-Jordan elimination; returns reduced rows and {pivot_col: row}."""
+    rows = rows[:]
+    pivots: dict[int, int] = {}
+    r = 0
+    for c in cols:
+        bit = 1 << c
+        pivot_row = None
+        for k in range(r, len(rows)):
+            if rows[k] & bit:
+                pivot_row = k
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        for k in range(len(rows)):
+            if k != r and rows[k] & bit:
+                rows[k] ^= rows[r]
+        pivots[c] = r
+        r += 1
+    return rows, pivots
+
+
+def reference_null_space_oracle(g: TriGrid) -> tuple[list[EdgeSet], int]:
+    """``trislither.null_space_oracle`` by dense Gauss-Jordan elimination of
+    full-width int rows: one basis vector per free column, in column order.
+    Quadratic in the edge count in memory, so only for moderate sides."""
+    n_edges = g.num_edges
+    rows, pivots = _reference_rref(_reference_constraint_rows(g), range(n_edges))
+    free_cols = [c for c in range(n_edges) if c not in pivots]
+    basis = []
+    for c in free_cols:
+        vec = 1 << c
+        cbit = 1 << c
+        for pc, pr in pivots.items():
+            if rows[pr] & cbit:
+                vec |= 1 << pc
+        basis.append(EdgeSet(g, _int_bits(vec, n_edges)))
+    return basis, len(free_cols)
 
 
 def _is_single_cycle(g: TriGrid, mask: int) -> bool:

@@ -1,3 +1,6 @@
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,7 @@ from trislither import (
     totally_even_violation,
 )
 
-from oracles import all_even_subset_masks, edge_mask
+from oracles import all_even_subset_masks, edge_mask, reference_null_space_oracle
 from refcycles import T6_HEX_RING_WALK, cycle_from_walk
 
 
@@ -106,6 +109,42 @@ def test_oracle_vectors_are_totally_even_and_decomposable(n):
     for vec in basis:
         assert is_totally_even(g, vec)
         assert recompose(g, decompose(g, vec)) == vec
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_oracle_matches_dense_elimination(n):
+    """The banded elimination finds the same pivots, so the same basis,
+    vector for vector and in order, as dense Gauss-Jordan elimination."""
+    g = build_grid(n)
+    basis, d = null_space_oracle(g)
+    expected, expected_d = reference_null_space_oracle(g)
+    assert d == expected_d == len(basis)
+    assert basis == expected
+
+
+def _interrupt(signum, frame):
+    raise TimeoutError("null_space_oracle did not finish in time")
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_oracle_past_dense_sizes(n):
+    """Dense elimination had not finished at side 128 after 600 s; the
+    banded one keeps rows as narrow as the band and takes about 0.5 s."""
+    g = build_grid(n)
+    previous = signal.signal(signal.SIGALRM, _interrupt)
+    signal.alarm(20)
+    try:
+        t0 = time.perf_counter()
+        basis, d = null_space_oracle(g)
+        elapsed = time.perf_counter() - t0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 10.0
+    assert d == len(basis) == n // 2
+    assert all(is_totally_even(g, vec) for vec in basis)
+    index_sets = {tuple(decompose(g, vec)) for vec in basis}
+    assert len(index_sets) == d and () not in index_sets
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -99,7 +99,7 @@ def test_flood_matches_search():
 
 
 def _interrupt(signum, frame):
-    raise TimeoutError("census did not finish in time")
+    raise TimeoutError("the DFS did not finish in time")
 
 
 @pytest.mark.parametrize("n, budget", [(8, 5), (48, 2)])
@@ -118,6 +118,29 @@ def test_budgeted_census_past_side_5_is_quick(n, budget):
         signal.signal(signal.SIGALRM, previous)
     assert elapsed < 5.0
     assert r.partial and r.total_cycles == budget
+
+
+def test_roots_near_the_apex_of_a_large_grid_are_cheap():
+    """The step lists are built once per grid, not once per root (0.075-0.12 s
+    a root at side 256). A vertex has a cycle through vertices above it
+    unless it ends its row."""
+    g = build_grid(256)
+    g.nbr_steps  # built once here
+    previous = signal.signal(signal.SIGALRM, _interrupt)
+    signal.alarm(10)
+    try:
+        t0 = time.perf_counter()
+        found = [
+            _kernels.cycles_from_root(g, root, 1).shape[0]
+            for root in range(g.num_vertices - 20, g.num_vertices)
+        ]
+        elapsed = time.perf_counter() - t0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 0.25
+    x, y = g.vertex_xy[-20:].T
+    assert found == (x < g.n + 2 - y).astype(int).tolist()
 
 
 def test_signature_words_pack_two_bits_per_face():
