@@ -12,9 +12,16 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvalidInputError, InvalidParameterError, NotACycleError, RewireError
-from .evenalg import EdgeSet, _check_int, _vertex_degrees, decompose, is_totally_even
+from .evenalg import (
+    EdgeSet,
+    _check_basis_index,
+    _check_int,
+    _vertex_degrees,
+    decompose,
+    is_totally_even,
+)
 from .grid import Dir, Edge, Side, TriGrid
-from .transversal import face_links, links_alternate
+from .transversal import _components, face_links, links_alternate
 
 
 @dataclass(frozen=True)
@@ -80,21 +87,9 @@ def cycle_defect(g: TriGrid, a: EdgeSet) -> str | None:
     if (deg > 2).any():
         return "vertex degree exceeds 2"
     # All degrees are 0 or 2: the set is a disjoint union of simple cycles.
-    adj: dict[int, list[int]] = {}
-    for ei in np.flatnonzero(a.bits):
-        u, v = int(g.u_of_edge[ei]), int(g.v_of_edge[ei])
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    start = min(adj)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) != len(adj):
+    sel = np.flatnonzero(a.bits)
+    ends = zip(g.u_of_edge[sel].tolist(), g.v_of_edge[sel].tolist())
+    if len(_components(np.flatnonzero(deg).tolist(), ends)) > 1:
         return "disconnected"
     return None
 
@@ -151,6 +146,15 @@ def enumerate_cycles(g: TriGrid, limit: int | None = None) -> Iterator[Cycle]:
 
 # -- census -------------------------------------------------------------------
 
+# A census keeps the pairs of the first PAIR_CAP repeated signatures it meets;
+# a further repeat sets ``pair_cap_hit``.
+PAIR_CAP = 32
+
+# A census holds every cycle as a ``num_edges``-byte row, and packing the
+# signatures takes about four times that again, so a budget whose rows (one
+# past the budget) would pass this many bytes is refused before the walk.
+MAX_ROW_BYTES = 2**27
+
 
 @dataclass
 class CensusResult:
@@ -172,63 +176,51 @@ class CensusResult:
         return max(self.multiplicities.values(), default=0)
 
 
-def _row_at(batches: list[np.ndarray], index: int) -> np.ndarray:
-    """Row ``index`` of the batches laid end to end."""
-    for rows in batches:
-        if index < rows.shape[0]:
-            return rows[index]
-        index -= rows.shape[0]
-
-
-def census(
-    g: TriGrid,
-    max_cycles: int | None = None,
-    pair_cap: int = 32,
-) -> CensusResult:
+def census(g: TriGrid, max_cycles: int | None = None) -> CensusResult:
     """Group every simple cycle by signature and surface repeated ones.
 
     Signatures are packed two bits per face and keyed exactly, so equal
-    keys mean equal signatures. A ``max_cycles`` budget yields a result
-    flagged as partial.
+    keys mean equal signatures. The first ``PAIR_CAP`` repeated signatures
+    in enumeration order give the pairs, sorted by packed signature. A
+    ``max_cycles`` budget yields a result flagged as partial.
     """
     _check_budget("max_cycles", max_cycles)
     # One extra cycle past the budget distinguishes an exact fit from a cut.
     budget = None if max_cycles is None else int(max_cycles) + 1
+    if budget is not None and budget > MAX_ROW_BYTES // g.num_edges:
+        raise InvalidParameterError(
+            f"max_cycles must be <= {MAX_ROW_BYTES // g.num_edges - 1} at side {g.n},"
+            f" got {max_cycles}"
+        )
+    # Budget or not, the first root always runs, so there is at least one batch.
+    rows = np.concatenate(list(_root_batches(g, budget)))
+    partial = max_cycles is not None and rows.shape[0] > max_cycles
+    rows = rows[:max_cycles]
     multiplicities: dict[bytes, int] = {}
-    # Index of each signature's first cycle. A plain int costs less memory
-    # than a row view per signature.
-    first_index: dict[bytes, int] = {}
-    batches: list[np.ndarray] = []
-    keyed_pairs: list[tuple[bytes, Cycle, Cycle]] = []
+    first_row: dict[bytes, int] = {}
+    # (signature, first row, second row) of each repeated signature.
+    repeats: list[tuple[bytes, int, int]] = []
     pair_cap_hit = False
-    total = 0
-    partial = False
-    for rows in _root_batches(g, budget):
-        if max_cycles is not None and total + rows.shape[0] > max_cycles:
-            rows = rows[: max_cycles - total]
-            partial = True
-        batches.append(rows)
-        sig_words = _kernels.signature_words(rows, g.face_edges_idx)
-        for r, words in enumerate(sig_words):
-            key = words.tobytes()
-            seen = multiplicities.get(key, 0)
-            multiplicities[key] = seen + 1
-            if seen == 0:
-                first_index[key] = total + r
-            elif seen == 1:
-                if len(keyed_pairs) < pair_cap:
-                    c1 = validate_cycle(g, EdgeSet(g, _row_at(batches, first_index[key])))
-                    c2 = validate_cycle(g, EdgeSet(g, rows[r]))
-                    keyed_pairs.append((key, c1, c2))
-                else:
-                    pair_cap_hit = True
-        total += rows.shape[0]
-    keyed_pairs.sort(key=lambda item: item[0])
+    for r, words in enumerate(_kernels.signature_words(rows, g.face_edges_idx)):
+        key = words.tobytes()
+        seen = multiplicities.get(key, 0)
+        multiplicities[key] = seen + 1
+        if seen == 0:
+            first_row[key] = r
+        elif seen == 1:
+            if len(repeats) < PAIR_CAP:
+                repeats.append((key, first_row[key], r))
+            else:
+                pair_cap_hit = True
+    repeats.sort()
     return CensusResult(
         n=g.n,
-        total_cycles=total,
+        total_cycles=rows.shape[0],
         multiplicities=multiplicities,
-        pairs=[(c1, c2) for _, c1, c2 in keyed_pairs],
+        pairs=[
+            (validate_cycle(g, EdgeSet(g, rows[i])), validate_cycle(g, EdgeSet(g, rows[j])))
+            for _, i, j in repeats
+        ],
         partial=partial,
         pair_cap_hit=pair_cap_hit,
     )
@@ -241,8 +233,6 @@ def census(
 class PairReport:
     """Checks on the symmetric difference of two same-signature cycles."""
 
-    signatures_equal: bool
-    distinct: bool
     diff_totally_even: bool
     diff_size: int
     divisible_by_12: bool
@@ -253,13 +243,23 @@ class PairReport:
     @property
     def all_hold(self) -> bool:
         return (
-            self.signatures_equal
-            and self.distinct
-            and self.diff_totally_even
+            self.diff_totally_even
             and self.divisible_by_12
             and self.smallest_index_even
             and self.faces_alternate
         )
+
+
+def _check_pair(g: TriGrid, c1: Cycle, c2: Cycle) -> None:
+    """Raise unless the two cycles are distinct and share a signature."""
+    if c1.edge_set == c2.edge_set:
+        raise InvalidInputError("the two cycles must be distinct")
+    _check_same_signature(g, c1, c2)
+
+
+def _check_same_signature(g: TriGrid, c1: Cycle, c2: Cycle) -> None:
+    if signature(g, c1) != signature(g, c2):
+        raise InvalidInputError("the two cycles must have equal signatures")
 
 
 def verify_pair(g: TriGrid, c1: Cycle, c2: Cycle) -> PairReport:
@@ -271,10 +271,7 @@ def verify_pair(g: TriGrid, c1: Cycle, c2: Cycle) -> PairReport:
     condition that a face holding two difference edges takes one from each
     cycle.
     """
-    if c1.edge_set == c2.edge_set:
-        raise InvalidInputError("the two cycles must be distinct")
-    if signature(g, c1) != signature(g, c2):
-        raise InvalidInputError("the two cycles must have equal signatures")
+    _check_pair(g, c1, c2)
     diff = c1.edge_set ^ c2.edge_set
     te = is_totally_even(g, diff)
     indices = tuple(decompose(g, diff)) if te else ()
@@ -285,8 +282,6 @@ def verify_pair(g: TriGrid, c1: Cycle, c2: Cycle) -> PairReport:
     )
     size = len(diff)
     return PairReport(
-        signatures_equal=True,
-        distinct=True,
         diff_totally_even=te,
         diff_size=size,
         divisible_by_12=size % 12 == 0,
@@ -314,8 +309,6 @@ def zigzag_edges(g: TriGrid, i: int) -> EdgeSet:
     Alternates horizontal and up-right edges; it is contained in every
     totally even subset whose smallest decomposition index is i.
     """
-    from .evenalg import _check_basis_index
-
     _check_basis_index(g, i)
     x, y = g.vertex_xy[g.u_of_edge].T
     return EdgeSet(g, (g.edge_dir != Dir.NW) & (x + y == i + 1))
@@ -341,10 +334,7 @@ def rewire_shared_side(
     both results are revalidated. Raises RewireError if no shared diagonal
     exists or the round cap is exceeded.
     """
-    if c1.edge_set == c2.edge_set:
-        raise InvalidInputError("the two cycles must be distinct")
-    if signature(g, c1) != signature(g, c2):
-        raise InvalidInputError("the two cycles must have equal signatures")
+    _check_pair(g, c1, c2)
     # Trading a diagonal (NW) for the E and NE beneath it toggles a first-row up face:
     # faces 0, 2, .., 2n-2. One rotation carries the bottom onto the left, two onto the right.
     bottom, rot = g.face_edges_idx[: 2 * g.n : 2].T, g.rotate_eperm

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .grid import Dir, Edge, Face, TriGrid, Vertex, _face_layout
+from .grid import Dir, Edge, Face, TriGrid, Vertex, _check_side, _face_layout, _is_int
 
 
 class EdgeSet:
@@ -275,8 +275,8 @@ def max_basis_index(n: int) -> int:
 
 
 def _check_int(value, what: str) -> None:
-    """Raise unless ``value`` is an integer; a bool does not count as one."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+    """Raise unless ``_is_int(value)``."""
+    if not _is_int(value):
         raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
 
 
@@ -426,11 +426,10 @@ def gap_profile_doubled(n: int, indices) -> list[int]:
     doubling keeps the half-integer top gap of even n integral. All gaps
     are positive and sum to n+1 (doubled).
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise InvalidParameterError(f"grid side must be an integer >= 1, got {n!r}")
+    _check_side(n)
     indices = list(indices)
     for i in indices:
-        if not isinstance(i, (int, np.integer)) or isinstance(i, bool) or i < 1 or 2 * i > n:
+        if not _is_int(i) or i < 1 or 2 * i > n:
             raise InvalidParameterError(f"index {i!r} out of range for n={n}")
     if any(a >= b for a, b in zip(indices, indices[1:])):
         raise InvalidParameterError("indices must be strictly increasing")

@@ -121,6 +121,16 @@ def _face_layout(n: int):
     return k // 2 + 1, y, k % 2 == 0
 
 
+def _is_int(value) -> bool:
+    """Is ``value`` an integer? A bool does not count as one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_side(n) -> None:
+    if not _is_int(n) or n < 1:
+        raise InvalidParameterError(f"grid side must be an integer >= 1, got {n!r}")
+
+
 class TriGrid:
     """Triangular grid of side n with full incidence and symmetry maps.
 
@@ -132,8 +142,7 @@ class TriGrid:
     """
 
     def __init__(self, n: int):
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise InvalidParameterError(f"grid side must be an integer >= 1, got {n!r}")
+        _check_side(n)
         self.n = n = int(n)
         y = np.repeat(np.arange(1, n + 2), np.arange(n + 1, 0, -1))
         x = np.arange(y.size) - _vertex_id(n, 1, y) + 1

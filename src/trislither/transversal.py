@@ -61,11 +61,15 @@ class TransversalDecomposition:
 
 def build_transversal(g: TriGrid, a: EdgeSet) -> TransversalGraph:
     """Midpoint graph of a totally even subset."""
+    links = sorted(map(tuple, _even_links(g, a).tolist()))
+    return TransversalGraph(nodes=tuple(np.flatnonzero(a.bits).tolist()), links=tuple(links))
+
+
+def _even_links(g: TriGrid, a: EdgeSet) -> np.ndarray:
+    """``face_links`` of ``a``, which must be totally even."""
     if not is_totally_even(g, a):
         raise InvalidInputError("transversals are defined for totally even subsets")
-    nodes = tuple(int(i) for i in np.flatnonzero(a.bits))
-    links = sorted(map(tuple, face_links(g, a.bits).tolist()))
-    return TransversalGraph(nodes=nodes, links=tuple(links))
+    return face_links(g, a.bits)
 
 
 def face_links(g: TriGrid, bits: np.ndarray) -> np.ndarray:
@@ -83,6 +87,48 @@ def links_alternate(links, only1_bits: np.ndarray, only2_bits: np.ndarray) -> bo
     return bool(((only1_bits[a] & only2_bits[b]) | (only2_bits[a] & only1_bits[b])).all())
 
 
+def _components(nodes, links) -> list[TransversalComponent]:
+    """Components of a graph whose nodes have degree at most 2, each as a
+    walk along it, in the order ``decompose_transversals`` documents."""
+    adj: dict[int, list[int | None]] = {node: [] for node in nodes}
+    for a, b in links:
+        adj[a].append(b)
+        adj[b].append(a)
+    for node, nbrs in adj.items():
+        if len(nbrs) > 2:
+            raise RuntimeError(f"midpoint node {node} has degree {len(nbrs)} > 2")
+        nbrs.sort()
+        nbrs += [None] * (2 - len(nbrs))  # a path's end reads None
+
+    def walk(head: int) -> list[int]:
+        # Stops at a path's end, or on a cycle just before it reaches head again.
+        order, prev, cur = [head], None, head
+        while True:
+            a, b = adj[cur]
+            nxt = b if a == prev else a
+            if nxt is None or nxt == head:
+                return order
+            order.append(nxt)
+            prev, cur = cur, nxt
+
+    seen: set[int] = set()
+    components = []
+    for start in sorted(nodes):
+        if start in seen:
+            continue
+        order = walk(start)
+        is_cycle = None not in adj[order[-1]]
+        if not is_cycle and None not in adj[start]:
+            # start is inside a path: walk the whole path from the end reached.
+            order = walk(order[-1])
+            if order[-1] < order[0]:
+                order.reverse()
+        seen.update(order)
+        kind = ComponentKind.CYCLE if is_cycle else ComponentKind.PATH
+        components.append(TransversalComponent(kind=kind, nodes=tuple(order)))
+    return components
+
+
 def decompose_transversals(t: TransversalGraph) -> TransversalDecomposition:
     """Maximal paths and cycles of the midpoint graph, canonically ordered.
 
@@ -90,47 +136,7 @@ def decompose_transversals(t: TransversalGraph) -> TransversalDecomposition:
     smaller endpoint, a cycle at its smallest node heading toward the
     smaller neighbour.
     """
-    adj: dict[int, list[int]] = {node: [] for node in t.nodes}
-    for a, b in t.links:
-        adj[a].append(b)
-        adj[b].append(a)
-    for node, nbrs in adj.items():
-        if len(nbrs) > 2:
-            raise RuntimeError(f"midpoint node {node} has degree {len(nbrs)} > 2")
-        nbrs.sort()
-
-    unseen = set(t.nodes)
-    components = []
-    for start in sorted(t.nodes):
-        if start not in unseen:
-            continue
-        group = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v in adj[u]:
-                if v not in group:
-                    group.add(v)
-                    frontier.append(v)
-        unseen -= group
-        endpoints = sorted(u for u in group if len(adj[u]) <= 1)
-        if endpoints:
-            kind = ComponentKind.PATH
-            head = endpoints[0]
-        else:
-            kind = ComponentKind.CYCLE
-            head = min(group)
-        order = [head]
-        prev = None
-        cur = head
-        while True:
-            nxt = next((w for w in adj[cur] if w != prev), None)
-            if nxt is None or nxt == head:
-                break
-            order.append(nxt)
-            prev, cur = cur, nxt
-        components.append(TransversalComponent(kind=kind, nodes=tuple(order)))
-    return TransversalDecomposition(components=tuple(components))
+    return TransversalDecomposition(components=tuple(_components(t.nodes, t.links)))
 
 
 def check_mod4(d: TransversalDecomposition) -> bool:
@@ -156,13 +162,13 @@ def transversal_alternates(
 def alternation_check(g: TriGrid, a: EdgeSet, c1, c2) -> bool:
     """Along every transversal of a = c1 ^ c2, nodes must alternate between
     edges only in the first cycle and edges only in the second."""
-    from .cycles import signature
+    from .cycles import _check_same_signature
 
     if a != (c1.edge_set ^ c2.edge_set):
         raise InvalidInputError("subset must be the symmetric difference of the cycles")
-    if signature(g, c1) != signature(g, c2):
-        raise InvalidInputError("the two cycles must have equal signatures")
-    only1 = c1.edge_set.difference(c2.edge_set)
-    only2 = c2.edge_set.difference(c1.edge_set)
-    t = build_transversal(g, a)
-    return transversal_alternates(t, only1.bits, only2.bits)
+    _check_same_signature(g, c1, c2)
+    return links_alternate(
+        _even_links(g, a),
+        c1.edge_set.difference(c2.edge_set).bits,
+        c2.edge_set.difference(c1.edge_set).bits,
+    )

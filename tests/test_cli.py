@@ -174,6 +174,25 @@ def test_budgeted_census_on_a_large_grid_exits_in_time():
     assert "partial: yes" in proc.stdout
 
 
+def test_oversized_census_budget_exits_fast(capsys):
+    """A budget whose cycle rows would pass the census bound (about 10 GB
+    here) is a usage error, raised before the DFS starts."""
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "census", "--n", "256", "--max-cycles", "100000")
+    elapsed = time.perf_counter() - t0
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_cycles must be <= 1359 at side 256, got 100000\n"
+    assert elapsed < 1.0
+
+
+def test_small_budget_on_the_largest_grid(capsys):
+    code, out, _ = run(capsys, "census", "--n", str(MAX_SIDE), "--max-cycles", "2")
+    assert code == 0
+    assert "cycles: 2" in out
+    assert "partial: yes" in out
+
+
 def test_census_t1(capsys):
     code, out, _ = run(capsys, "census", "--n", "1")
     assert code == 0

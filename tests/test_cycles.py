@@ -16,6 +16,7 @@ from trislither import (
     RewireError,
     Side,
     Vertex,
+    alternation_check,
     basis_subset,
     build_grid,
     census,
@@ -31,6 +32,7 @@ from trislither import (
     verify_pair,
     zigzag_edges,
 )
+from trislither import _kernels, cycles
 from trislither.grid import Face
 
 from oracles import edge_mask, reference_rewire_shared_side, simple_cycle_masks
@@ -212,6 +214,62 @@ def test_census_t5_finds_repeated_signatures(g5, census5):
         assert rep.decomposition == (2,)
 
 
+@pytest.fixture(scope="module")
+def repeats5(g5):
+    """(packed signature, first cycle, second cycle) of each repeated side-5
+    signature, in the order enumerate_cycles reaches the second cycle."""
+    found = list(enumerate_cycles(g5))
+    counts = np.stack([c.edge_set.bits for c in found])[:, g5.face_edges_idx].sum(axis=2)
+    width = (2 * g5.num_faces + 7) // 8
+    first, repeats = {}, []
+    for c, row in zip(found, counts):
+        key = row.tobytes()
+        if key not in first:
+            first[key] = c
+        elif first[key] is not None:
+            packed = sum(int(k) << 2 * f for f, k in enumerate(row)).to_bytes(width, "little")
+            repeats.append((packed, first[key], c))
+            first[key] = None
+    return repeats
+
+
+@pytest.mark.parametrize("cap, hit", [(3, True), (8, False)])
+def test_pair_cap_keeps_the_earliest_repeats(monkeypatch, g5, repeats5, cap, hit):
+    """The pairs are the first ``PAIR_CAP`` repeated signatures met, sorted
+    by packed signature; one more repeat past the cap sets pair_cap_hit."""
+    assert len(repeats5) == 8
+    masks = [(edge_mask(a.edge_set), edge_mask(b.edge_set)) for _, a, b in sorted(repeats5[:cap])]
+    monkeypatch.setattr(cycles, "PAIR_CAP", cap)
+    r = census(g5)
+    assert [(edge_mask(a.edge_set), edge_mask(b.edge_set)) for a, b in r.pairs] == masks
+    assert r.pair_cap_hit is hit
+
+
+def test_census_budget_bound_is_checked_before_the_walk(monkeypatch):
+    """A budget whose cycle rows would pass MAX_ROW_BYTES is refused before
+    any DFS; one cycle past the budget is held to tell a fit from a cut."""
+
+    def no_dfs(*args):
+        raise AssertionError("the DFS ran")
+
+    g48 = build_grid(48)
+    most = cycles.MAX_ROW_BYTES // g48.num_edges - 1
+    assert most == 38042
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "cycles_from_root", no_dfs)
+        for budget in (most + 1, 100000, np.int64(10**12)):
+            message = r"^max_cycles must be <= 38042 at side 48, got "
+            with pytest.raises(InvalidParameterError, match=message):
+                census(g48, max_cycles=budget)
+    g3 = build_grid(3)
+    monkeypatch.setattr(cycles, "MAX_ROW_BYTES", 11 * g3.num_edges)
+    assert census(g3, max_cycles=10).total_cycles == 10
+    message = r"^max_cycles must be <= 10 at side 3, got 11$"
+    with pytest.raises(InvalidParameterError, match=message):
+        census(g3, max_cycles=11)
+    assert census(g3).total_cycles == 110  # a whole census has no budget to check
+
+
 # -- pair verification --------------------------------------------------------------
 
 
@@ -226,12 +284,19 @@ def test_verify_reference_pair(g5):
 
 
 def test_verify_pair_preconditions(g5):
+    """verify_pair and rewire_shared_side share one precondition check;
+    alternation_check shares its signature half."""
     c1, c2 = t5_pair(g5)
-    with pytest.raises(InvalidInputError):
-        verify_pair(g5, c1, c1)
     other = validate_cycle(g5, face_set(g5, (1, 1)))
-    with pytest.raises(InvalidInputError):
-        verify_pair(g5, c1, other)
+    for check in (verify_pair, rewire_shared_side):
+        with pytest.raises(InvalidInputError, match="^the two cycles must be distinct$"):
+            check(g5, c1, c1)
+        with pytest.raises(InvalidInputError, match="^the two cycles must have equal signatures$"):
+            check(g5, c1, other)
+    with pytest.raises(InvalidInputError, match="^the two cycles must have equal signatures$"):
+        alternation_check(g5, c1.edge_set ^ other.edge_set, c1, other)
+    # The alternation check takes a cycle paired with itself: no transversal.
+    assert alternation_check(g5, EdgeSet.empty(g5), c1, c1)
 
 
 # -- obstruction and zigzag -----------------------------------------------------------

@@ -9,6 +9,7 @@ from trislither import (
     InvalidEdgeError,
     InvalidInputError,
     InvalidParameterError,
+    TriGrid,
     Vertex,
     basis_cardinality,
     basis_subset,
@@ -17,6 +18,7 @@ from trislither import (
     check_symmetries,
     count_edges_closed_form,
     decompose,
+    gap_profile_doubled,
     is_totally_even,
     max_basis_index,
     null_space_oracle,
@@ -248,9 +250,23 @@ def test_closed_form_examples():
     assert count_edges_closed_form(12, [2, 3, 6]) == 90
 
 
-def test_gap_profile_doubled():
-    from trislither import gap_profile_doubled
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: TriGrid(True), "grid side must be an integer >= 1, got True"),
+        (lambda: TriGrid(0), "grid side must be an integer >= 1, got 0"),
+        (lambda: TriGrid(2.0), "grid side must be an integer >= 1, got 2.0"),
+        (lambda: gap_profile_doubled(True, []), "grid side must be an integer >= 1, got True"),
+        (lambda: gap_profile_doubled(5, [True]), "index True out of range for n=5"),
+    ],
+)
+def test_side_and_index_messages(call, message):
+    with pytest.raises(InvalidParameterError) as info:
+        call()
+    assert str(info.value) == message
 
+
+def test_gap_profile_doubled():
     # n=12, {2,3,6}: gaps 2, 1, 3, 1/2 doubled.
     assert gap_profile_doubled(12, [2, 3, 6]) == [4, 2, 6, 1]
     assert gap_profile_doubled(11, [4, 5]) == [8, 2, 2]
