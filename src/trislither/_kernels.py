@@ -1,4 +1,5 @@
-"""Hot inner loops of the census: simple-cycle DFS and signature packing."""
+"""Hot inner loops of the census: the simple-cycle walk, which yields one
+edge row per cycle, and signature packing."""
 
 import numpy as np
 
@@ -48,11 +49,11 @@ def _flood(seeds, within, s1):
         reach = grown
 
 
-def cycles_from_root(g, root, limit):
-    """Every simple cycle of grid ``g`` whose lowest vertex is ``root``, as
-    boolean edge rows. A ``limit`` >= 0 stops after that many cycles.
+def walk_cycles(g, root):
+    """Yield every simple cycle of grid ``g`` whose lowest vertex is
+    ``root``, each as a ``num_edges``-byte row holding 1 at its edges.
 
-    Each cycle is emitted once: intermediate vertices must exceed root, and
+    Each cycle is yielded once: intermediate vertices must exceed root, and
     the walk must enter the cycle through the lower-indexed of root's two
     cycle neighbours, so it closes from a *target*, a neighbour of root
     above the path's first vertex. Branches are taken in index order.
@@ -71,8 +72,6 @@ def cycles_from_root(g, root, limit):
     back, or from the copy kept where the push flooded; so only flooded
     sets stay in memory, not one per path vertex.
     """
-    if limit == 0:
-        return np.zeros((0, g.num_edges), dtype=bool)
     s1, s2 = g.n + 1, g.n + 2
     above = np.zeros(s2 * s2, dtype=bool)
     above[g.vertex_bit[root + 1 :]] = True
@@ -80,10 +79,8 @@ def cycles_from_root(g, root, limit):
     # (neighbour, edge, bit) steps. A step below root is never alive, so only
     # the first step needs to skip those.
     steps = g.nbr_steps
-    # The path's edges as one byte each, and the emitted rows end to end.
+    # The path's edges as one byte each; a cycle is yielded as a copy.
     on_path = bytearray(g.num_edges)
-    rows = bytearray()
-    count = 0
     for first, first_edge, q in steps[root]:
         if first < root:
             continue  # free ^ 1 << q would set its bit
@@ -102,11 +99,8 @@ def cycles_from_root(g, root, limit):
                     # v above first also means the path has two or more edges.
                     if v > first:
                         on_path[e] = 1
-                        rows += on_path
+                        yield bytes(on_path)
                         on_path[e] = 0
-                        count += 1
-                        if count == limit:
-                            return np.frombuffer(rows, dtype=bool).reshape(count, g.num_edges)
                 elif alive >> q & 1:
                     saved = alive
                     alive ^= 1 << q
@@ -122,7 +116,6 @@ def cycles_from_root(g, root, limit):
                 _, _, e, q, saved = frames.pop()
                 on_path[e] = 0
                 alive = alive | 1 << q if saved is None else saved
-    return np.frombuffer(rows, dtype=bool).reshape(count, g.num_edges)
 
 
 def signature_words(rows, face_edges):

@@ -5,7 +5,9 @@ side-sharing rewiring procedure.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterator
 
 import numpy as np
@@ -120,16 +122,9 @@ def _check_budget(name: str, value) -> None:
             raise InvalidParameterError(f"{name} must be >= 0, got {value}")
 
 
-def _root_batches(g: TriGrid, budget: int | None) -> Iterator[np.ndarray]:
-    """Cycle rows of each root in turn, at most ``budget`` rows in all."""
-    remaining = -1 if budget is None else budget
-    for root in range(g.num_vertices):
-        if remaining == 0:
-            return
-        rows = _kernels.cycles_from_root(g, root, remaining)
-        if remaining > 0:
-            remaining -= rows.shape[0]
-        yield rows
+def _rows(g: TriGrid) -> Iterator[bytes]:
+    """The cycle rows of every root in turn, as ``num_edges``-byte strings."""
+    return chain.from_iterable(_kernels.walk_cycles(g, r) for r in range(g.num_vertices))
 
 
 def enumerate_cycles(g: TriGrid, limit: int | None = None) -> Iterator[Cycle]:
@@ -139,9 +134,8 @@ def enumerate_cycles(g: TriGrid, limit: int | None = None) -> Iterator[Cycle]:
     order with index-sorted branching. ``limit`` truncates the stream.
     """
     _check_budget("limit", limit)
-    for rows in _root_batches(g, limit):
-        for row in rows:
-            yield Cycle(EdgeSet(g, row))
+    for row in islice(_rows(g), None if limit is None else min(limit, sys.maxsize)):
+        yield Cycle(EdgeSet(g, np.frombuffer(row, bool)))
 
 
 # -- census -------------------------------------------------------------------
@@ -185,24 +179,24 @@ def census(g: TriGrid, max_cycles: int | None = None) -> CensusResult:
     ``max_cycles`` budget yields a result flagged as partial.
     """
     _check_budget("max_cycles", max_cycles)
-    # One extra cycle past the budget distinguishes an exact fit from a cut.
-    budget = None if max_cycles is None else int(max_cycles) + 1
-    if budget is not None and budget > MAX_ROW_BYTES // g.num_edges:
+    # One cycle past the budget is walked to tell an exact fit from a cut.
+    if max_cycles is not None and int(max_cycles) + 1 > MAX_ROW_BYTES // g.num_edges:
         raise InvalidParameterError(
             f"max_cycles must be <= {MAX_ROW_BYTES // g.num_edges - 1} at side {g.n},"
             f" got {max_cycles}"
         )
-    # Budget or not, the first root always runs, so there is at least one batch.
-    rows = np.concatenate(list(_root_batches(g, budget)))
-    partial = max_cycles is not None and rows.shape[0] > max_cycles
-    rows = rows[:max_cycles]
+    stream = _rows(g)
+    rows = np.frombuffer(b"".join(islice(stream, max_cycles)), bool).reshape(-1, g.num_edges)
+    partial = max_cycles is not None and next(stream, None) is not None
+    words = _kernels.signature_words(rows, g.face_edges_idx)
     multiplicities: dict[bytes, int] = {}
     first_row: dict[bytes, int] = {}
     # (signature, first row, second row) of each repeated signature.
     repeats: list[tuple[bytes, int, int]] = []
     pair_cap_hit = False
-    for r, words in enumerate(_kernels.signature_words(rows, g.face_edges_idx)):
-        key = words.tobytes()
+    # A void view gives every packed row as one bytes key in one call; unlike
+    # an "S" view it keeps trailing zero bytes.
+    for r, key in enumerate(words.view(f"V{words.shape[1]}").ravel().tolist()):
         seen = multiplicities.get(key, 0)
         multiplicities[key] = seen + 1
         if seen == 0:

@@ -413,7 +413,7 @@ def reference_loads_cycle(text, path="<string>"):
 
 
 def reference_cycles_from_root(g, root, limit):
-    """``trislither._kernels.cycles_from_root`` as a plain DFS that enters
+    """``trislither._kernels.walk_cycles`` as a plain DFS that enters
     every vertex above root off the path, one boolean edge row per cycle.
 
     A ``limit`` >= 1 stops after that many cycles; -1 means no limit.

@@ -181,14 +181,24 @@ def test_census_t1(g1):
     assert not r.partial
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_census_small_grids(n):
     g = build_grid(n)
     r = census(g)
-    assert r.total_cycles == len(list(enumerate_cycles(g)))
+    found = list(enumerate_cycles(g))
+    assert r.total_cycles == len(found)
     assert sum(r.multiplicities.values()) == r.total_cycles
-    # Only one basis index exists here and it is odd, so no repeated
-    # signature can occur: a repeat would force an even smallest index.
+    # The keys are the signatures packed two bits per face, little-endian.
+    counts = np.stack([c.edge_set.bits for c in found])[:, g.face_edges_idx].sum(axis=2)
+    width = (2 * g.num_faces + 7) // 8
+    packed = {
+        sum(int(k) << 2 * f for f, k in enumerate(row)).to_bytes(width, "little")
+        for row in counts
+    }
+    assert set(r.multiplicities) == packed
+    # At sides 2 and 3 only one basis index exists and it is odd, so no
+    # repeated signature can occur: a repeat would force an even smallest
+    # index. Side 4 has none either.
     assert r.max_multiplicity == 1
     assert r.pairs == []
 
@@ -256,7 +266,7 @@ def test_census_budget_bound_is_checked_before_the_walk(monkeypatch):
     most = cycles.MAX_ROW_BYTES // g48.num_edges - 1
     assert most == 38042
     with monkeypatch.context() as m:
-        m.setattr(_kernels, "cycles_from_root", no_dfs)
+        m.setattr(_kernels, "walk_cycles", no_dfs)
         for budget in (most + 1, 100000, np.int64(10**12)):
             message = r"^max_cycles must be <= 38042 at side 48, got "
             with pytest.raises(InvalidParameterError, match=message):

@@ -1,27 +1,13 @@
 import signal
 import time
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from oracles import reference_cycles_from_root
-from trislither import build_grid, census
+from trislither import build_grid, census, enumerate_cycles
 from trislither import _kernels
-
-
-def test_limit_truncates():
-    g = build_grid(3)
-    full = _kernels.cycles_from_root(g, 0, -1)
-    assert full.shape[0] > 3
-    cut = _kernels.cycles_from_root(g, 0, 3)
-    assert cut.shape[0] == 3
-    assert np.array_equal(cut, full[:3])
-
-
-def test_limit_zero_gives_no_rows():
-    g = build_grid(3)
-    rows = _kernels.cycles_from_root(g, 0, 0)
-    assert rows.shape == (0, g.num_edges) and rows.dtype == bool
 
 
 @pytest.mark.parametrize(
@@ -39,10 +25,11 @@ def test_dfs_matches_reference(n, limits):
     g = build_grid(n)
     for limit in limits:
         for root in range(g.num_vertices):
-            rows = _kernels.cycles_from_root(g, root, limit)
+            rows = list(islice(_kernels.walk_cycles(g, root), None if limit < 0 else limit))
             expected = reference_cycles_from_root(g, root, limit)
-            assert rows.dtype == bool and rows.shape == expected.shape, (limit, root)
-            assert np.array_equal(rows, expected), (limit, root)
+            assert all(type(row) is bytes and len(row) == g.num_edges for row in rows)
+            assert len(rows) == expected.shape[0], (limit, root)
+            assert b"".join(rows) == expected.tobytes(), (limit, root)
 
 
 def _bit(g, v):
@@ -120,6 +107,26 @@ def test_budgeted_census_past_side_5_is_quick(n, budget):
     assert r.partial and r.total_cycles == budget
 
 
+def test_unlimited_enumeration_streams():
+    """An unlimited enumeration walks only as far as its consumer reads: the
+    side-9 grid has far too many cycles to list, yet a slice of its first
+    4,000 returns at once."""
+    g = build_grid(9)
+    previous = signal.signal(signal.SIGALRM, _interrupt)
+    signal.alarm(10)
+    try:
+        t0 = time.perf_counter()
+        got = list(islice(enumerate_cycles(g), 0, 4000, 37))
+        elapsed = time.perf_counter() - t0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 1.0
+    expected = list(islice(enumerate_cycles(g, limit=4000), 0, None, 37))
+    assert len(got) == len(expected) == 109
+    assert [c.edge_set for c in got] == [c.edge_set for c in expected]
+
+
 def test_roots_near_the_apex_of_a_large_grid_are_cheap():
     """The step lists are built once per grid, not once per root (0.075-0.12 s
     a root at side 256). A vertex has a cycle through vertices above it
@@ -131,7 +138,7 @@ def test_roots_near_the_apex_of_a_large_grid_are_cheap():
     try:
         t0 = time.perf_counter()
         found = [
-            _kernels.cycles_from_root(g, root, 1).shape[0]
+            int(next(_kernels.walk_cycles(g, root), None) is not None)
             for root in range(g.num_vertices - 20, g.num_vertices)
         ]
         elapsed = time.perf_counter() - t0
@@ -145,7 +152,7 @@ def test_roots_near_the_apex_of_a_large_grid_are_cheap():
 
 def test_signature_words_pack_two_bits_per_face():
     g = build_grid(3)
-    rows = _kernels.cycles_from_root(g, 0, -1)
+    rows = np.frombuffer(b"".join(_kernels.walk_cycles(g, 0)), bool).reshape(-1, g.num_edges)
     words = _kernels.signature_words(rows, g.face_edges_idx)
     for row, packed in zip(rows, words):
         expected = 0
@@ -165,14 +172,14 @@ def test_signature_words_take_zero_rows():
 
 def test_budgeted_census_stops_enumerating_at_budget(monkeypatch, g5):
     enumerated = []
-    dfs = _kernels.cycles_from_root
+    walk = _kernels.walk_cycles
 
     def counting(*args):
-        rows = dfs(*args)
-        enumerated.append(rows.shape[0])
-        return rows
+        for row in walk(*args):
+            enumerated.append(row)
+            yield row
 
-    monkeypatch.setattr(_kernels, "cycles_from_root", counting)
+    monkeypatch.setattr(_kernels, "walk_cycles", counting)
     r = census(g5, max_cycles=500)
     assert r.partial and r.total_cycles == 500
-    assert sum(enumerated) <= 501
+    assert len(enumerated) <= 501
