@@ -46,32 +46,14 @@ class Cycle:
         return f"Cycle(n={self.grid.n}, length={len(self)})"
 
 
+@dataclass(frozen=True)
 class Signature:
     """Per-finite-face edge counts of a cycle, in canonical face order."""
 
-    __slots__ = ("counts",)
-
-    def __init__(self, counts):
-        counts = np.array(counts, dtype=np.uint8, copy=True)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Signature is immutable")
+    counts: tuple[int, ...]
 
     def __getitem__(self, face_idx: int) -> int:
-        return int(self.counts[face_idx])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Signature):
-            return NotImplemented
-        return bool(np.array_equal(self.counts, other.counts))
-
-    def __hash__(self) -> int:
-        return hash(self.counts.tobytes())
-
-    def __repr__(self) -> str:
-        return f"Signature({self.counts.tolist()})"
+        return self.counts[face_idx]
 
 
 # -- validation ---------------------------------------------------------------
@@ -108,8 +90,7 @@ def signature(g: TriGrid, c: Cycle) -> Signature:
     """Count, for each finite face, how many of its edges the cycle uses."""
     if c.grid.n != g.n:
         raise InvalidInputError("edge set does not belong to this grid")
-    counts = c.edge_set.bits[g.face_edges_idx].sum(axis=1)
-    return Signature(counts)
+    return Signature(tuple(c.edge_set.bits[g.face_edges_idx].sum(axis=1).tolist()))
 
 
 # -- enumeration --------------------------------------------------------------
@@ -143,6 +124,9 @@ def enumerate_cycles(g: TriGrid, limit: int | None = None) -> Iterator[Cycle]:
 # A census keeps the pairs of the first PAIR_CAP repeated signatures it meets;
 # a further repeat sets ``pair_cap_hit``.
 PAIR_CAP = 32
+
+# ``rewire_shared_side`` gives up after this many rounds.
+REWIRE_ROUNDS = 9
 
 # A census holds every cycle as a ``num_edges``-byte row, and packing the
 # signatures takes about four times that again, so a budget whose rows (one
@@ -317,16 +301,14 @@ def shared_side_edges(g: TriGrid, c1: Cycle, c2: Cycle) -> dict[Side, list[Edge]
     return {s: [g.edges[i] for i in g.side_edge_indices(s) if both[i]] for s in Side}
 
 
-def rewire_shared_side(
-    g: TriGrid, c1: Cycle, c2: Cycle, max_rounds: int = 9
-) -> tuple[Cycle, Cycle]:
+def rewire_shared_side(g: TriGrid, c1: Cycle, c2: Cycle) -> tuple[Cycle, Cycle]:
     """Rewire a same-signature pair until it shares an edge on every side.
 
     On each deficient side (brought to the bottom by rotation), the
     lowest shared up-left diagonal off the first row is swapped for the
     two boundary edges beneath it, toggling membership in both cycles, and
     both results are revalidated. Raises RewireError if no shared diagonal
-    exists or the round cap is exceeded.
+    exists or ``REWIRE_ROUNDS`` rounds leave a side deficient.
     """
     _check_pair(g, c1, c2)
     # Trading a diagonal (NW) for the E and NE beneath it toggles a first-row up face:
@@ -342,7 +324,7 @@ def rewire_shared_side(
         missing = [s for s in Side if not shared[side_idx[s]].any()]
         if not missing:
             break
-        if rounds >= max_rounds:
+        if rounds >= REWIRE_ROUNDS:
             raise RewireError(f"no fixpoint after {rounds} rounds; still missing {missing}")
         rounds += 1
         side = missing[0]

@@ -112,10 +112,6 @@ class EdgeSet:
             out.append(((a.x, a.y), (b.x, b.y)))
         return out
 
-    def apply_perm(self, perm: np.ndarray) -> "EdgeSet":
-        """Image of this set under an edge permutation (index array)."""
-        return EdgeSet(self.grid, permute_bits(self.bits, perm))
-
     def __repr__(self) -> str:
         return f"EdgeSet(n={self.grid.n}, |A|={len(self)})"
 
@@ -472,7 +468,7 @@ def check_symmetries(g: TriGrid, a: EdgeSet) -> SymmetryReport:
     All three hold for every totally even subset.
     """
     return SymmetryReport(
-        mirror_invariant=a.apply_perm(g.reflect_eperm) == a,
-        rotation_invariant=a.apply_perm(g.rotate_eperm) == a,
+        mirror_invariant=np.array_equal(permute_bits(a.bits, g.reflect_eperm), a.bits),
+        rotation_invariant=np.array_equal(permute_bits(a.bits, g.rotate_eperm), a.bits),
         middle_free=not bool(a.bits[g.middle_edge_idx].any()),
     )

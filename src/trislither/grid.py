@@ -113,6 +113,16 @@ def _vertex_id(n, x, y):
     return (y - 1) * (2 * n + 4 - y) // 2 + x - 1
 
 
+def _reflect(n, x, y):
+    # The mirror across the vertical axis through the apex. Works on ints and int arrays.
+    return n + 3 - x - y, y
+
+
+def _rotate(n, x, y):
+    # The 120-degree rotation of ``TriGrid.rotate_vertex``. Works on ints and int arrays.
+    return y, n + 3 - x - y
+
+
 def _face_layout(n: int):
     """Anchor x, anchor y and up flag of every face, in index order; row y
     starts after the (y-1)(2n+1-y) faces of rows 1 .. y-1."""
@@ -187,8 +197,8 @@ class TriGrid:
         self.nbr[rows, cols] = others[by_nbr]
         self.nbr_edge[rows, cols] = by_nbr % slots.size
 
-        self.reflect_eperm = self.edge_ids(n + 3 - uy - ux, uy, n + 3 - vy - vx, vy)
-        self.rotate_eperm = self.edge_ids(uy, n + 3 - ux - uy, vy, n + 3 - vx - vy)
+        self.reflect_eperm = self.edge_ids(*_reflect(n, ux, uy), *_reflect(n, vx, vy))
+        self.rotate_eperm = self.edge_ids(*_rotate(n, ux, uy), *_rotate(n, vx, vy))
         # Edges crossed by the vertical symmetry axis: horizontal edges
         # whose endpoints are swapped by the reflection, i.e. 2x + y = n + 2.
         self.middle_edge_idx = np.flatnonzero((self.edge_dir == Dir.E) & (2 * ux + uy == n + 2))
@@ -260,13 +270,6 @@ class TriGrid:
             for ws, es, d in zip(self.nbr.tolist(), self.nbr_edge.tolist(), self.deg.tolist())
         )
 
-    @cached_property
-    def _faces_of_edge(self) -> tuple[tuple[int, ...], ...]:
-        # A stable sort keeps each edge's faces in index order.
-        faces = (np.argsort(self.face_edges_idx.ravel(), kind="stable") // 3).tolist()
-        ends = np.cumsum(self.edge_face_count).tolist()
-        return tuple(tuple(faces[a:b]) for a, b in zip([0] + ends[:-1], ends))
-
     # -- lookups -----------------------------------------------------------
 
     @property
@@ -330,7 +333,8 @@ class TriGrid:
         return [self.edges[i] for i in self.face_edges_idx[self.face_index(f)]]
 
     def edge_faces(self, e: Edge) -> list[Face]:
-        return [self.faces[i] for i in self._faces_of_edge[self.edge_index(e)]]
+        i = self.edge_index(e)
+        return [self.faces[f] for f in np.flatnonzero((self.face_edges_idx == i).any(axis=1))]
 
     def side_edges(self, side: Side) -> list[Edge]:
         return [self.edges[i] for i in self.side_edge_indices(side)]
@@ -352,7 +356,7 @@ class TriGrid:
 
     def reflect_vertex(self, v: Vertex) -> Vertex:
         """Mirror across the vertical axis through the apex."""
-        return Vertex(self.n + 3 - v.y - v.x, v.y)
+        return Vertex(*_reflect(self.n, v.x, v.y))
 
     def rotate_vertex(self, v: Vertex) -> Vertex:
         """One of the two 120-degree rotations about the center.
@@ -360,7 +364,7 @@ class TriGrid:
         The map (x, y) -> (y, n+3-x-y) has order three and cycles the
         corners (1,1) -> (1,n+1) -> (n+1,1) -> (1,1).
         """
-        return Vertex(v.y, self.n + 3 - v.x - v.y)
+        return Vertex(*_rotate(self.n, v.x, v.y))
 
     def reflect_middle(self, e: Edge) -> Edge:
         i = self.edge_index(e)

@@ -42,13 +42,6 @@ class TransversalGraph:
     nodes: tuple[int, ...]
     links: tuple[tuple[int, int], ...]
 
-    def degrees(self) -> dict[int, int]:
-        deg = {node: 0 for node in self.nodes}
-        for a, b in self.links:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
-
 
 @dataclass(frozen=True)
 class TransversalDecomposition:
@@ -81,7 +74,12 @@ def face_links(g: TriGrid, bits: np.ndarray) -> np.ndarray:
 
 
 def links_alternate(links, only1_bits: np.ndarray, only2_bits: np.ndarray) -> bool:
-    """Does every link join an edge only in one cycle to one only in the other?"""
+    """Does every link join an edge only in one cycle to one only in the other?
+
+    Consecutive nodes of a transversal component are exactly the linked
+    pairs, because two edges share at most one face, so checking every link
+    checks that the nodes of every component alternate between the two sides.
+    """
     links = np.asarray(links, dtype=np.int64).reshape(-1, 2)
     a, b = links[:, 0], links[:, 1]
     return bool(((only1_bits[a] & only2_bits[b]) | (only2_bits[a] & only1_bits[b])).all())
@@ -146,17 +144,6 @@ def check_mod4(d: TransversalDecomposition) -> bool:
     with the same signature; a general totally even subset may fail.
     """
     return all(c.node_count % 4 == 0 for c in d.components)
-
-
-def transversal_alternates(
-    t: TransversalGraph, only1_bits: np.ndarray, only2_bits: np.ndarray
-) -> bool:
-    """Do consecutive nodes alternate between the two cycle-only sides?
-
-    Consecutive nodes of a component are exactly the linked pairs, because
-    two edges share at most one face, so checking every link suffices.
-    """
-    return links_alternate(t.links, only1_bits, only2_bits)
 
 
 def alternation_check(g: TriGrid, a: EdgeSet, c1, c2) -> bool:

@@ -301,6 +301,19 @@ def test_transversal_reads_the_cycles_onto_the_subset_grid(
         assert err == "error: edge sets live on different grids (n=5 vs n=6)\n"
 
 
+def test_transversal_header_only_cycle_file(tmp_path, capsys, g5):
+    c1, c2 = t5_pair(g5)
+    a_path = tmp_path / "a.edges"
+    write_edge_set(a_path, c1.edge_set ^ c2.edge_set)
+    c1_path, c2_path = tmp_path / "c1.cycle", tmp_path / "c2.cycle"
+    c1_path.write_text("n 5\n# note\n")
+    write_cycle(c2_path, c2)
+    argv = ["transversal", "--in", str(a_path), "--c1", str(c1_path), "--c2", str(c2_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {c1_path}:0: cycle file has no edge or walk records\n"
+
+
 @pytest.mark.parametrize("flag", ["--c1", "--c2"])
 def test_transversal_lone_cycle_is_usage_error(tmp_path, capsys, g5, flag):
     c1, c2 = t5_pair(g5)

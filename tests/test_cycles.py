@@ -33,6 +33,7 @@ from trislither import (
     zigzag_edges,
 )
 from trislither import _kernels, cycles
+from trislither.evenalg import permute_bits
 from trislither.grid import Face
 
 from oracles import edge_mask, reference_rewire_shared_side, simple_cycle_masks
@@ -116,12 +117,14 @@ def test_signature_checks_the_grid(g2, g5):
             signature(g, c)
     with pytest.raises(InvalidInputError, match="^edge set does not belong to this grid$"):
         verify_pair(build_grid(4), *t5_pair(g5))
+    with pytest.raises(InvalidInputError, match="^edge set does not belong to this grid$"):
+        cycle_defect(g2, c5.edge_set)
 
 
 def test_signature_total_counts_incidences(g5):
     c1, _ = t5_pair(g5)
     sig = signature(g5, c1)
-    total = int(sig.counts.sum())
+    total = sum(sig.counts)
     assert total == sum(int(g5.edge_face_count[i]) for i in np.flatnonzero(c1.edge_set.bits))
 
 
@@ -405,15 +408,15 @@ def test_rewire_restores_bottom_sharing(g5):
     assert is_totally_even(g5, r1.edge_set ^ r2.edge_set)
 
 
-def _rewire_outcome(rewire, g, c1, c2, max_rounds):
+def _rewire_outcome(rewire, *args):
     try:
-        r1, r2 = rewire(g, c1, c2, max_rounds)
+        r1, r2 = rewire(*args)
     except (InvalidInputError, RewireError) as exc:
         return type(exc).__name__, str(exc)
     return r1.edge_set, r2.edge_set
 
 
-def test_rewire_matches_reference(g5, census5):
+def test_rewire_matches_reference(monkeypatch, g5, census5):
     """Every side-5 pair, under each grid symmetry, with up to two of its
     bottom corner paths swapped for their diagonals, with and without
     rounds to spare."""
@@ -425,12 +428,14 @@ def test_rewire_matches_reference(g5, census5):
     for pair in [t5_pair(g5), *census5.pairs]:
         for perm, js in itertools.product(symmetries, swaps):
             try:
-                c1, c2 = (_toggled(g5, c.edge_set.apply_perm(perm), js) for c in pair)
+                c1, c2 = (_toggled(g5, EdgeSet(g5, permute_bits(c.edge_set.bits, perm)), js)
+                          for c in pair)
             except NotACycleError:
                 continue
-            for max_rounds in (0, 9):
-                got = _rewire_outcome(rewire_shared_side, g5, c1, c2, max_rounds)
-                want = _rewire_outcome(reference_rewire_shared_side, g5, c1, c2, max_rounds)
+            for rounds in (0, 9):
+                monkeypatch.setattr(cycles, "REWIRE_ROUNDS", rounds)
+                got = _rewire_outcome(rewire_shared_side, g5, c1, c2)
+                want = _rewire_outcome(reference_rewire_shared_side, g5, c1, c2, rounds)
                 assert got == want
                 rewired = got != (c1.edge_set, c2.edge_set)
                 outcomes[got[0] if isinstance(got[0], str) else rewired] += 1

@@ -50,6 +50,19 @@ def test_from_pairs_takes_vertices_and_integers_of_any_size(g5):
         EdgeSet.from_pairs(g5, [((1, 1), (2, 1)), ((1, 1), (10**30, 1))])
 
 
+@pytest.mark.parametrize("n", [5, 12])
+def test_vertex_pairs_round_trip(n):
+    g = build_grid(n)
+    assert EdgeSet.empty(g).vertex_pairs() == []
+    for i in range(1, max_basis_index(n) + 1):
+        a = basis_subset(g, i)
+        sel = np.flatnonzero(a.bits)
+        # (base, other) of each edge, in edge-index order.
+        base, other = (g.vertex_xy[ends[sel]].tolist() for ends in (g.u_of_edge, g.v_of_edge))
+        assert a.vertex_pairs() == [(tuple(u), tuple(v)) for u, v in zip(base, other)]
+        assert EdgeSet.from_pairs(g, a.vertex_pairs()) == a
+
+
 def test_odd_face_is_named_without_object_views():
     g = build_grid(7)
     # The boundary of down@(2,2): every vertex is even, and the first odd

@@ -180,6 +180,12 @@ def test_cycle_file_must_be_one_form():
     assert "only edge lines or only walk lines" in str(exc.value)
 
 
+def test_header_only_cycle_file():
+    with pytest.raises(FileFormatError) as exc:
+        loads_cycle("n 5\n# note\n")
+    assert str(exc.value) == "<string>:0: cycle file has no edge or walk records"
+
+
 def test_cycle_file_rejects_non_cycles():
     with pytest.raises(FileFormatError) as exc:
         loads_cycle("n 2\nedge 1 1 2 1\n")

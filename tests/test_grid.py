@@ -141,6 +141,16 @@ def test_rotate_order_three(n):
         assert g.rotate_vertex(a) == b
 
 
+@pytest.mark.parametrize("n", [*range(1, 13), 40])
+def test_edge_maps_agree_with_vertex_maps(n):
+    """The image of every edge joins the images of its endpoints."""
+    g = build_grid(n)
+    maps = ((g.reflect_eperm, g.reflect_vertex), (g.rotate_eperm, g.rotate_vertex))
+    for perm, vertex_map in maps:
+        for e, image in zip(g.edges, perm.tolist()):
+            assert set(g.edges[image].endpoints) == {vertex_map(v) for v in e.endpoints}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_symmetries_are_automorphisms(n):
     g = build_grid(n)

@@ -12,8 +12,8 @@ from trislither import (
     build_transversal,
     check_mod4,
     decompose_transversals,
+    links_alternate,
     totally_even_subsets,
-    transversal_alternates,
 )
 
 from refcycles import t5_pair
@@ -57,7 +57,7 @@ def test_node_degrees_match_face_counts(n):
     g = build_grid(n)
     for _, a in totally_even_subsets(g):
         t = build_transversal(g, a)
-        degrees = t.degrees()
+        degrees = np.bincount(np.asarray(t.links, dtype=np.int64).ravel(), minlength=g.num_edges)
         for node in t.nodes:
             # Under total evenness each finite face of a used edge holds
             # exactly two subset edges, so the node degree equals the
@@ -130,7 +130,7 @@ def test_alternation_fails_on_corrupted_links(g5):
     only1 = c1.edge_set.difference(c2.edge_set)
     only2 = c2.edge_set.difference(c1.edge_set)
     t = build_transversal(g5, a)
-    assert transversal_alternates(t, only1.bits, only2.bits)
+    assert links_alternate(t.links, only1.bits, only2.bits)
     links = list(t.links)
     # Swap partners between two links whose first nodes sit on the same
     # side of the pair, producing a link that joins same-side edges.
@@ -147,8 +147,7 @@ def test_alternation_fails_on_corrupted_links(g5):
     i, j = pick
     (a1, b1), (a2, b2) = links[i], links[j]
     links[i], links[j] = (a1, a2), (b1, b2)
-    corrupted = TransversalGraph(nodes=t.nodes, links=tuple(links))
-    assert not transversal_alternates(corrupted, only1.bits, only2.bits)
+    assert not links_alternate(links, only1.bits, only2.bits)
 
 
 def test_alternation_precondition(g5):
