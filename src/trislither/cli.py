@@ -102,6 +102,10 @@ def _cmd_transversal(args) -> int:
         raise InvalidParameterError("--c1 and --c2 must be given together")
     a = read_edge_set(args.infile)
     g = a.grid
+    # Both cycle files are read before any output, so a bad one prints nothing.
+    if args.c1 is not None:
+        c1 = read_cycle(args.c1, grid=g)
+        c2 = read_cycle(args.c2, grid=g)
     t = build_transversal(g, a)
     svg = render_svg(g, subset=a, transversal=t, unit=args.unit_px) if args.svg_out else None
     d = decompose_transversals(t)
@@ -118,8 +122,6 @@ def _cmd_transversal(args) -> int:
         if indices and indices[0] % 2 == 1:
             print(f"note: smallest decomposition index {indices[0]} is odd (obstructed)")
     if args.c1 is not None:
-        c1 = read_cycle(args.c1, grid=g)
-        c2 = read_cycle(args.c2, grid=g)
         alt = alternation_check(g, a, c1, c2)
         print(f"alternation: {'OK' if alt else 'FAIL'}")
         ok = ok and alt

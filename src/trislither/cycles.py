@@ -129,7 +129,7 @@ PAIR_CAP = 32
 REWIRE_ROUNDS = 9
 
 # A census holds every cycle as a ``num_edges``-byte row, and packing the
-# signatures takes about four times that again, so a budget whose rows (one
+# signatures takes about 1.3 times that again, so a budget whose rows (one
 # past the budget) would pass this many bytes is refused before the walk.
 MAX_ROW_BYTES = 2**27
 
@@ -170,8 +170,13 @@ def census(g: TriGrid, max_cycles: int | None = None) -> CensusResult:
             f" got {max_cycles}"
         )
     stream = _rows(g)
-    rows = np.frombuffer(b"".join(islice(stream, max_cycles)), bool).reshape(-1, g.num_edges)
+    # Grown in place, so the rows are never held twice.
+    kept = bytearray()
+    for row in islice(stream, max_cycles):
+        kept += row
+    rows = np.frombuffer(kept, bool).reshape(-1, g.num_edges)
     partial = max_cycles is not None and next(stream, None) is not None
+    del stream  # ends a cut walk, so its search states are freed before packing
     words = _kernels.signature_words(rows, g.face_edges_idx)
     multiplicities: dict[bytes, int] = {}
     first_row: dict[bytes, int] = {}

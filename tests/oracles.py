@@ -8,6 +8,7 @@ the SVG renderer below are the step-by-step, object-by-object forms of
 the array paths in ``trislither.cycles``, ``trislither.fileio`` and
 ``trislither.svgfig``. The cycle DFS below is the census kernel without its
 pruning: it extends every path, whether or not the path can still close.
+The alive walk is the census kernel without its shared search states.
 """
 
 import functools
@@ -26,6 +27,7 @@ from trislither import (
     TriGrid,
     build_grid,
 )
+from trislither._kernels import _SPLITS, _flood, _ring
 from trislither.cycles import signature, validate_cycle
 from trislither.evenalg import _int_bits, permute_bits
 from trislither.fileio import MAX_SIDE
@@ -453,6 +455,57 @@ def reference_cycles_from_root(g, root, limit):
             if path_edge:
                 path_edge.pop()
     return out[:count]
+
+
+def reference_alive_walk(g, root):
+    """``trislither._kernels.walk_cycles`` as a walk that recomputes the
+    alive set on every step instead of sharing search states: the same
+    ``num_edges``-byte rows in the same order.
+
+    The walk enters a vertex only if it is alive: free (above root and off
+    the path) and joined through free vertices to a free target. Entering
+    a target or a local cut floods the alive set again; entering any other
+    vertex removes its bit. A pop restores the set.
+    """
+    s1, s2 = g.n + 1, g.n + 2
+    above = np.zeros(s2 * s2, dtype=bool)
+    above[g.vertex_bit[root + 1 :]] = True
+    free = int.from_bytes(np.packbits(above, bitorder="little").tobytes(), "little")
+    steps = g.nbr_steps
+    on_path = bytearray(g.num_edges)
+    for first, first_edge, q in steps[root]:
+        if first < root:
+            continue
+        targets = sum(1 << p for w, _, p in steps[root] if w > first)
+        alive = _flood(targets, free ^ 1 << q, s1)
+        if not _ring(alive, q, s2):
+            continue
+        on_path[first_edge] = 1
+        # One frame per path vertex v: its untried steps, v, the edge and
+        # bit of v, and the alive set before v if entering v flooded.
+        frames = [(iter(steps[first]), first, first_edge, q, None)]
+        while frames:
+            branch, v, _, _, _ = frames[-1]
+            for w, e, q in branch:
+                if w == root:
+                    if v > first:
+                        on_path[e] = 1
+                        yield bytes(on_path)
+                        on_path[e] = 0
+                elif alive >> q & 1:
+                    saved = alive
+                    alive ^= 1 << q
+                    if targets >> q & 1 or _SPLITS[_ring(saved, q, s2)]:
+                        alive = _flood(targets & alive, alive, s1)
+                    else:
+                        saved = None
+                    on_path[e] = 1
+                    frames.append((iter(steps[w]), w, e, q, saved))
+                    break
+            else:
+                _, _, e, q, saved = frames.pop()
+                on_path[e] = 0
+                alive = alive | 1 << q if saved is None else saved
 
 
 # -- SVG ------------------------------------------------------------------

@@ -309,8 +309,9 @@ def test_transversal_header_only_cycle_file(tmp_path, capsys, g5):
     c1_path.write_text("n 5\n# note\n")
     write_cycle(c2_path, c2)
     argv = ["transversal", "--in", str(a_path), "--c1", str(c1_path), "--c2", str(c2_path)]
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
+    assert out == ""
     assert err == f"error: {c1_path}:0: cycle file has no edge or walk records\n"
 
 

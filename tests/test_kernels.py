@@ -1,11 +1,11 @@
 import signal
 import time
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 import pytest
 
-from oracles import reference_cycles_from_root
+from oracles import reference_alive_walk, reference_cycles_from_root
 from trislither import build_grid, census, enumerate_cycles
 from trislither import _kernels
 
@@ -30,6 +30,29 @@ def test_dfs_matches_reference(n, limits):
             assert all(type(row) is bytes and len(row) == g.num_edges for row in rows)
             assert len(rows) == expected.shape[0], (limit, root)
             assert b"".join(rows) == expected.tobytes(), (limit, root)
+
+
+def _all_roots(walk, g):
+    return chain.from_iterable(walk(g, root) for root in range(g.num_vertices))
+
+
+@pytest.mark.parametrize("n, limit", [(6, 4000), (7, 4000), (9, 4000), (48, 2000)])
+def test_shared_states_match_the_alive_walk(n, limit):
+    """Sharing search states changes no row and no order: the chained
+    stream of every root equals the walk that updates its alive set on
+    every push."""
+    g = build_grid(n)
+    got = list(islice(_all_roots(_kernels.walk_cycles, g), limit))
+    expected = list(islice(_all_roots(reference_alive_walk, g), limit))
+    assert len(got) == limit
+    assert got == expected
+
+
+def test_shared_states_match_the_alive_walk_at_every_root():
+    g = build_grid(7)
+    for root in range(g.num_vertices):
+        got = list(islice(_kernels.walk_cycles(g, root), 500))
+        assert got == list(islice(reference_alive_walk(g, root), 500)), root
 
 
 def _bit(g, v):
