@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -148,7 +148,9 @@ class TriGrid:
     on vertex coordinates. ``vertices``, ``edges`` and ``faces`` are tuples
     of objects built from them on first use. Instances are immutable after
     construction and safe to share between threads; every operation on
-    them is a pure function.
+    them is a pure function. Every array a grid holds, including those its
+    cached properties build, is read-only: ``build_grid`` hands one grid to
+    every caller of its side, so a write would change it for all of them.
     """
 
     def __init__(self, n: int):
@@ -203,6 +205,9 @@ class TriGrid:
         # whose endpoints are swapped by the reflection, i.e. 2x + y = n + 2.
         self.middle_edge_idx = np.flatnonzero((self.edge_dir == Dir.E) & (2 * ux + uy == n + 2))
         self.bottom_edge_idx = self.side_edge_indices(Side.BOTTOM)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     def edge_ids(self, ax, ay, bx, by) -> np.ndarray:
         """Index of the edge joining vertices (ax, ay) and (bx, by), elementwise over
@@ -249,6 +254,7 @@ class TriGrid:
     def vertex_edges_idx(self) -> tuple[np.ndarray, ...]:
         """The edges of each vertex, in edge order."""
         rows = np.sort(self.nbr_edge, axis=1)  # the -1 padding sorts first
+        rows.setflags(write=False)  # the row views cut from it inherit this
         k = rows.shape[1]
         return tuple(row[k - d:] for row, d in zip(rows, self.deg.tolist()))
 
@@ -258,7 +264,9 @@ class TriGrid:
         bitmask. Each row ends in a bit that is no vertex, so the six
         neighbour moves are shifts by 1, n+1 and n+2 that never wrap."""
         x, y = self.vertex_xy.T
-        return y * (self.n + 2) + x - 1
+        bit = y * (self.n + 2) + x - 1
+        bit.setflags(write=False)
+        return bit
 
     @cached_property
     def nbr_steps(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -379,5 +387,19 @@ class TriGrid:
 
 
 def build_grid(n: int) -> TriGrid:
-    """Construct the side-n triangular grid."""
+    """The side-n triangular grid, shared and read-only.
+
+    The last grid built is kept and returned again while the side stays the
+    same, so a run of reads on one side builds its grid once; ``TriGrid(n)``
+    builds a fresh one. The side is checked before the cache is asked,
+    since ``True == 1`` and ``5.0 == 5`` would find a cached grid.
+    """
+    _check_side(n)
+    return _last_grid(int(n))
+
+
+@lru_cache(maxsize=1)
+def _last_grid(n: int) -> TriGrid:
+    # One grid, not one per side: a side-256 grid with its object views and
+    # step lists holds about 70 MB.
     return TriGrid(n)

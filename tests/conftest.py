@@ -1,6 +1,27 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from trislither import build_grid, census
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError inside the block once it has run ``seconds`` seconds,
+    so that a walk that never ends fails its test instead of growing until
+    the process is killed. Uses SIGALRM: main thread, POSIX only."""
+
+    def interrupt(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,3 @@
-import signal
 import time
 
 import numpy as np
@@ -28,6 +27,7 @@ from trislither import (
     totally_even_violation,
 )
 
+from conftest import deadline
 from oracles import all_even_subset_masks, edge_mask, reference_null_space_oracle
 from refcycles import T6_HEX_RING_WALK, cycle_from_walk
 
@@ -137,24 +137,15 @@ def test_oracle_matches_dense_elimination(n):
     assert basis == expected
 
 
-def _interrupt(signum, frame):
-    raise TimeoutError("null_space_oracle did not finish in time")
-
-
 @pytest.mark.parametrize("n", [64, 128])
 def test_oracle_past_dense_sizes(n):
     """Dense elimination had not finished at side 128 after 600 s; the
     banded one keeps rows as narrow as the band and takes about 0.5 s."""
     g = build_grid(n)
-    previous = signal.signal(signal.SIGALRM, _interrupt)
-    signal.alarm(20)
-    try:
+    with deadline(20):
         t0 = time.perf_counter()
         basis, d = null_space_oracle(g)
         elapsed = time.perf_counter() - t0
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert elapsed < 10.0
     assert d == len(basis) == n // 2
     assert all(is_totally_even(g, vec) for vec in basis)

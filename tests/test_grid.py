@@ -1,3 +1,5 @@
+import sys
+import threading
 from math import comb
 
 import numpy as np
@@ -11,9 +13,14 @@ from trislither import (
     InvalidInputError,
     InvalidParameterError,
     Side,
+    TriGrid,
     Vertex,
     build_grid,
+    census,
+    enumerate_cycles,
 )
+from trislither import grid as grid_module
+from trislither.fileio import read_cycle, write_cycle
 
 from oracles import reference_edge_index, reference_layout
 
@@ -186,10 +193,90 @@ def test_symmetry_group_has_order_six(n):
 
 
 def test_build_errors():
-    with pytest.raises(InvalidParameterError):
-        build_grid(0)
-    with pytest.raises(InvalidParameterError):
-        build_grid(-3)
+    # The side is checked before the cache is asked: True == 1 and 5.0 == 5
+    # would find the grid just built.
+    for last in (1, 5):
+        build_grid(last)
+        for bad in (True, 5.0, "5", 0, -1, -3):
+            with pytest.raises(InvalidParameterError):
+                build_grid(bad)
+
+
+def _arrays(g):
+    """(name, array) for every array a grid holds, its cached ones built first."""
+    g.vertices, g.edges, g.vertex_edges_idx, g.vertex_bit, g.nbr_steps
+    for name, value in vars(g).items():
+        parts = value if isinstance(value, tuple) else (value,)
+        for k, a in enumerate(parts):
+            if isinstance(a, np.ndarray):
+                yield (name if a is value else f"{name}[{k}]"), a
+
+
+def _assert_same_grid(g, fresh):
+    got, want = dict(_arrays(g)), dict(_arrays(fresh))
+    assert got.keys() == want.keys()
+    for name, a in got.items():
+        assert a.dtype == want[name].dtype and np.array_equal(a, want[name]), name
+    assert g.nbr_steps == fresh.nbr_steps
+    assert (g.vertices, g.edges, g.faces) == (fresh.vertices, fresh.edges, fresh.faces)
+
+
+def test_build_grid_shares_the_last_grid():
+    assert build_grid(5) is build_grid(5)
+    assert build_grid(np.int64(5)) is build_grid(5)
+    assert type(build_grid(np.int64(5)).n) is int
+    assert TriGrid(5) is not build_grid(5)
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 48])
+def test_shared_grid_equals_a_fresh_one(n, tmp_path):
+    g = build_grid(n)
+    census(g, max_cycles=50)
+    path = tmp_path / "c.cycle"
+    write_cycle(path, next(enumerate_cycles(g, limit=1)))
+    assert read_cycle(path).grid is g
+    _assert_same_grid(g, TriGrid(n))
+
+
+def test_build_grid_keeps_one_grid():
+    for n in range(1, 21):
+        build_grid(n)
+    assert grid_module._last_grid.cache_info().currsize == 1
+
+
+def test_concurrent_builds_are_correct():
+    build_grid(1)  # so that every thread misses the cache
+    grids = [None] * 4
+    barrier = threading.Barrier(len(grids))
+
+    def build(k):
+        barrier.wait(timeout=30)
+        grids[k] = build_grid(48)
+
+    threads = [threading.Thread(target=build, args=(k,)) for k in range(len(grids))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    fresh = TriGrid(48)
+    for g in grids:
+        _assert_same_grid(g, fresh)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_grid_arrays_are_read_only(n):
+    """A grid is shared, so a write would change the next caller's grid."""
+    arrays = dict(_arrays(build_grid(n)))
+    assert {"vertex_xy", "nbr_edge", "bottom_edge_idx", "vertex_bit", "vertex_edges_idx[0]"} <= arrays.keys()
+    for name, a in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = a
 
 
 def test_foreign_edge_rejected(g2, g5):

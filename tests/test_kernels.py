@@ -1,10 +1,10 @@
-import signal
 import time
 from itertools import chain, islice
 
 import numpy as np
 import pytest
 
+from conftest import deadline
 from oracles import reference_alive_walk, reference_cycles_from_root
 from trislither import build_grid, census, enumerate_cycles
 from trislither import _kernels
@@ -23,13 +23,14 @@ from trislither import _kernels
 def test_dfs_matches_reference(n, limits):
     """Same rows in the same order as the unpruned DFS, for every root."""
     g = build_grid(n)
-    for limit in limits:
-        for root in range(g.num_vertices):
-            rows = list(islice(_kernels.walk_cycles(g, root), None if limit < 0 else limit))
-            expected = reference_cycles_from_root(g, root, limit)
-            assert all(type(row) is bytes and len(row) == g.num_edges for row in rows)
-            assert len(rows) == expected.shape[0], (limit, root)
-            assert b"".join(rows) == expected.tobytes(), (limit, root)
+    with deadline(15):
+        for limit in limits:
+            for root in range(g.num_vertices):
+                rows = list(islice(_kernels.walk_cycles(g, root), None if limit < 0 else limit))
+                expected = reference_cycles_from_root(g, root, limit)
+                assert all(type(row) is bytes and len(row) == g.num_edges for row in rows)
+                assert len(rows) == expected.shape[0], (limit, root)
+                assert b"".join(rows) == expected.tobytes(), (limit, root)
 
 
 def _all_roots(walk, g):
@@ -42,17 +43,19 @@ def test_shared_states_match_the_alive_walk(n, limit):
     stream of every root equals the walk that updates its alive set on
     every push."""
     g = build_grid(n)
-    got = list(islice(_all_roots(_kernels.walk_cycles, g), limit))
-    expected = list(islice(_all_roots(reference_alive_walk, g), limit))
+    with deadline(10):
+        got = list(islice(_all_roots(_kernels.walk_cycles, g), limit))
+        expected = list(islice(_all_roots(reference_alive_walk, g), limit))
     assert len(got) == limit
     assert got == expected
 
 
 def test_shared_states_match_the_alive_walk_at_every_root():
     g = build_grid(7)
-    for root in range(g.num_vertices):
-        got = list(islice(_kernels.walk_cycles(g, root), 500))
-        assert got == list(islice(reference_alive_walk(g, root), 500)), root
+    with deadline(10):
+        for root in range(g.num_vertices):
+            got = list(islice(_kernels.walk_cycles(g, root), 500))
+            assert got == list(islice(reference_alive_walk(g, root), 500)), root
 
 
 def _bit(g, v):
@@ -108,24 +111,15 @@ def test_flood_matches_search():
         assert got == sum(1 << _bit(g, v) for v in reach)
 
 
-def _interrupt(signum, frame):
-    raise TimeoutError("the DFS did not finish in time")
-
-
 @pytest.mark.parametrize("n, budget", [(8, 5), (48, 2)])
 def test_budgeted_census_past_side_5_is_quick(n, budget):
     """Every vertex the DFS enters lies on a path to a cycle, so a small
     budget ends fast however large the grid (the unpruned DFS ran past 60 s)."""
     g = build_grid(n)
-    previous = signal.signal(signal.SIGALRM, _interrupt)
-    signal.alarm(10)
-    try:
+    with deadline(10):
         t0 = time.perf_counter()
         r = census(g, max_cycles=budget)
         elapsed = time.perf_counter() - t0
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert elapsed < 5.0
     assert r.partial and r.total_cycles == budget
 
@@ -135,15 +129,10 @@ def test_unlimited_enumeration_streams():
     side-9 grid has far too many cycles to list, yet a slice of its first
     4,000 returns at once."""
     g = build_grid(9)
-    previous = signal.signal(signal.SIGALRM, _interrupt)
-    signal.alarm(10)
-    try:
+    with deadline(10):
         t0 = time.perf_counter()
         got = list(islice(enumerate_cycles(g), 0, 4000, 37))
         elapsed = time.perf_counter() - t0
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert elapsed < 1.0
     expected = list(islice(enumerate_cycles(g, limit=4000), 0, None, 37))
     assert len(got) == len(expected) == 109
@@ -156,18 +145,13 @@ def test_roots_near_the_apex_of_a_large_grid_are_cheap():
     unless it ends its row."""
     g = build_grid(256)
     g.nbr_steps  # built once here
-    previous = signal.signal(signal.SIGALRM, _interrupt)
-    signal.alarm(10)
-    try:
+    with deadline(10):
         t0 = time.perf_counter()
         found = [
             int(next(_kernels.walk_cycles(g, root), None) is not None)
             for root in range(g.num_vertices - 20, g.num_vertices)
         ]
         elapsed = time.perf_counter() - t0
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert elapsed < 0.25
     x, y = g.vertex_xy[-20:].T
     assert found == (x < g.n + 2 - y).astype(int).tolist()
