@@ -293,8 +293,7 @@ def zigzag_edges(g: TriGrid, i: int) -> EdgeSet:
     totally even subset whose smallest decomposition index is i.
     """
     _check_basis_index(g, i)
-    x, y = g.vertex_xy[g.u_of_edge].T
-    return EdgeSet(g, (g.edge_dir != Dir.NW) & (x + y == i + 1))
+    return EdgeSet(g, (g.edge_dir != Dir.NW) & (g.edge_base_x + g.edge_base_y == i + 1))
 
 
 # -- side-sharing rewiring ------------------------------------------------------

@@ -119,7 +119,7 @@ class EdgeSet:
 def _binary(values, what: str) -> np.ndarray:
     """A fresh bool array of ``values``, which must all be 0 or 1."""
     values = np.asarray(values)
-    if values.dtype != bool and not np.isin(values, (0, 1)).all():
+    if values.dtype != bool and not ((values == 0) | (values == 1)).all():
         raise InvalidInputError(f"{what} must be 0 or 1")
     return values.astype(bool)
 
@@ -148,11 +148,11 @@ def totally_even_violation(g: TriGrid, a: EdgeSet) -> str | None:
     if odd.size:
         v = Vertex(*g.vertex_xy[odd[0]].tolist())
         return f"vertex {v} has odd incidence ({deg[odd[0]]})"
-    face_counts = a.bits[g.face_edges_idx].sum(axis=1)
-    bad = np.flatnonzero(face_counts % 2)
+    bits, fe = a.bits, g.face_edges_idx
+    bad = np.flatnonzero(bits[fe[:, 0]] ^ bits[fe[:, 1]] ^ bits[fe[:, 2]])
     if bad.size:
         x, y, up = (int(a[bad[0]]) for a in _face_layout(g.n))
-        return f"face {Face(Vertex(x, y), bool(up))} contains {face_counts[bad[0]]} edges"
+        return f"face {Face(Vertex(x, y), bool(up))} contains {bits[fe[bad[0]]].sum()} edges"
     return None
 
 
@@ -288,8 +288,7 @@ def _wedge_bits(g: TriGrid, i: int) -> np.ndarray:
     # Horizontal and up-left edges clipped to the corner band x+y >= i+1,
     # x small, y bounded; the seed whose three rotated copies combine into
     # the basis subset.
-    x, y = g.vertex_xy[g.u_of_edge].T
-    n, d = g.n, g.edge_dir
+    x, y, n, d = g.edge_base_x, g.edge_base_y, g.n, g.edge_dir
     horizontal = (d == Dir.E) & (x <= i) & (y <= n + 2 - i)
     up_left = (d == Dir.NW) & (x <= i + 1) & (y <= n + 1 - i)
     return (horizontal | up_left) & (x + y >= i + 1)
@@ -367,6 +366,8 @@ def propagate_from_bottom(g: TriGrid, pattern) -> EdgeSet | None:
     One sweep fixes the edges row by row from the bottom, each by one vertex
     or face parity constraint, so any totally even subset with this bottom
     is the output; ``is_totally_even`` on it decides whether one exists.
+    Each row is a Python int; the bits of all rows are scattered to their
+    edges in one step through ``g.sweep_order``, built once per grid.
     """
     pattern = _binary(pattern, "bottom pattern bits")
     if pattern.shape != (g.n,):
@@ -376,7 +377,6 @@ def propagate_from_bottom(g: TriGrid, pattern) -> EdgeSet | None:
     n = g.n
     h = int.from_bytes(np.packbits(pattern, bitorder="little").tobytes(), "little")
     inc = edges = done = 0
-    order = []
     for k in range(n, 0, -1):
         # Row n+1-k has k up faces; bit x-1 stands for position x. h holds
         # the horizontal edges and inc the parity each vertex gets from
@@ -396,13 +396,10 @@ def propagate_from_bottom(g: TriGrid, pattern) -> EdgeSet | None:
         a = (c ^ b) & mask
         edges |= (h | (a << k) | (b >> 1 << 2 * k)) << done
         done += 3 * k
-        # Up faces alternate with down faces and hold (E, NE, NW of x+1).
-        start = n * n - k * k
-        order.append(g.face_edges_idx[start:start + 2 * k - 1:2].T.ravel())
         h = (c >> 1) & (mask >> 1)  # down face x: the edge above is c_(x+1)
         inc = a ^ (b >> 1)
     bits = np.zeros(g.num_edges, dtype=bool)
-    bits[np.concatenate(order)] = _int_bits(edges, done)
+    bits[g.sweep_order] = _int_bits(edges, done)
     result = EdgeSet(g, bits)
     return result if is_totally_even(g, result) else None
 

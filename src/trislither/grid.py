@@ -168,7 +168,8 @@ class TriGrid:
         self.edge_slot[present] = np.arange(np.count_nonzero(present))
         slots = np.flatnonzero(present)
         self.u_of_edge, self.edge_dir = slots // 3, slots % 3
-        ux, uy = x[self.u_of_edge], y[self.u_of_edge]
+        self.edge_base_x = ux = x[self.u_of_edge]
+        self.edge_base_y = uy = y[self.u_of_edge]
         dx, dy = np.array([_DELTAS[d] for d in Dir]).T[:, self.edge_dir]
         vx, vy = ux + dx, uy + dy
         self.v_of_edge = _vertex_id(n, vx, vy)
@@ -257,6 +258,19 @@ class TriGrid:
         rows.setflags(write=False)  # the row views cut from it inherit this
         k = rows.shape[1]
         return tuple(row[k - d:] for row, d in zip(rows, self.deg.tolist()))
+
+    @cached_property
+    def sweep_order(self) -> np.ndarray:
+        """The edges row by row from the bottom, as a bottom-up sweep fixes
+        them: in each row the E edges of its up faces left to right, then
+        their NE edges, then their NW edges. Every edge lies in exactly one
+        up face, so this is a permutation of the edge indices."""
+        n, fe = self.n, self.face_edges_idx
+        # Row n+1-k starts at face n^2-k^2; its k up faces alternate with
+        # down faces and list (E, NE, NW of x+1).
+        order = np.concatenate([fe[n * n - k * k :: 2][:k].T.ravel() for k in range(n, 0, -1)])
+        order.setflags(write=False)
+        return order
 
     @cached_property
     def vertex_bit(self) -> np.ndarray:

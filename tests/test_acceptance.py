@@ -121,9 +121,10 @@ def test_bottom_side_determines_subset():
     _report("bottom-side propagation: unique and exactly characterized, n=1..12", t.elapsed)
 
 
-@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("n", [41, 64, 127, 128])
 def test_bottom_propagation_past_exhaustive_sizes(n):
-    # The wedge construction behind recompose is an independent path.
+    # The wedge construction behind recompose is an independent path. Odd
+    # sides check the middle bottom edge, which every pattern leaves unset.
     g = build_grid(n)
     rng = np.random.default_rng(n)
     half = n // 2

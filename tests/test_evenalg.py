@@ -70,6 +70,11 @@ def test_odd_face_is_named_without_object_views():
     a = EdgeSet.from_pairs(g, [((3, 2), (2, 3)), ((3, 2), (3, 3)), ((2, 3), (3, 3))])
     assert totally_even_violation(g, a) == "face up@(2,2) contains 1 edges"
     assert not {"vertices", "edges", "faces"} & set(vars(g))
+    # The boundary of up@(1,1), the first face, which holds all three.
+    g = TriGrid(3)
+    a = EdgeSet.from_pairs(g, [((1, 1), (2, 1)), ((1, 1), (1, 2)), ((2, 1), (1, 2))])
+    assert totally_even_violation(g, a) == "face up@(1,1) contains 3 edges"
+    assert not {"vertices", "edges", "faces"} & set(vars(g))
 
 
 def test_hex_ring_fixture_is_totally_even(g6):
@@ -105,8 +110,9 @@ def test_edge_set_rejects_non_binary_bits(g2):
     bits[1] = 2
     with pytest.raises(InvalidInputError):
         EdgeSet(g2, bits)
-    with pytest.raises(InvalidInputError):
-        EdgeSet(g2, [0.5] * g2.num_edges)
+    for bad in (0.5, -1, np.nan, "1", None):
+        with pytest.raises(InvalidInputError, match="edge bits must be 0 or 1"):
+            EdgeSet(g2, [0] * (g2.num_edges - 1) + [bad])
 
 
 @pytest.mark.parametrize("n,dim", [(6, 3), (1, 0), (13, 6)])
@@ -221,8 +227,11 @@ def test_propagate_examples(g5):
     assert propagate_from_bottom(g5, [0, 1, 0, 0, 0]) is None
     with pytest.raises(InvalidInputError):
         propagate_from_bottom(g5, [0, 1, 0])
-    for pattern in ([0, 2, 0, 2, 0], [0, 0.5, 0, -1, 0], [0, np.nan, 0, 1, 0]):
-        with pytest.raises(InvalidInputError):
+    for pattern in (
+        [0, 2, 0, 2, 0], [0, 0.5, 0, -1, 0], [0, np.nan, 0, 1, 0],
+        [0, "1", 0, "1", 0], [0, None, 0, None, 0], ["0"] * 5, "01010",
+    ):
+        with pytest.raises(InvalidInputError, match="bottom pattern bits must be 0 or 1"):
             propagate_from_bottom(g5, pattern)
 
 

@@ -204,7 +204,7 @@ def test_build_errors():
 
 def _arrays(g):
     """(name, array) for every array a grid holds, its cached ones built first."""
-    g.vertices, g.edges, g.vertex_edges_idx, g.vertex_bit, g.nbr_steps
+    g.vertices, g.edges, g.vertex_edges_idx, g.vertex_bit, g.nbr_steps, g.sweep_order
     for name, value in vars(g).items():
         parts = value if isinstance(value, tuple) else (value,)
         for k, a in enumerate(parts):
@@ -273,10 +273,39 @@ def test_concurrent_builds_are_correct():
 def test_grid_arrays_are_read_only(n):
     """A grid is shared, so a write would change the next caller's grid."""
     arrays = dict(_arrays(build_grid(n)))
-    assert {"vertex_xy", "nbr_edge", "bottom_edge_idx", "vertex_bit", "vertex_edges_idx[0]"} <= arrays.keys()
+    assert {
+        "vertex_xy", "nbr_edge", "bottom_edge_idx", "vertex_bit", "vertex_edges_idx[0]",
+        "sweep_order", "edge_base_x", "edge_base_y",
+    } <= arrays.keys()
     for name, a in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
             a[...] = a
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 48])
+def test_sweep_order_layout(n):
+    # Row y from the bottom has up faces x = 1 .. n+1-y; up face x holds the
+    # E and NE edges of (x, y) and the NW edge of (x+1, y).
+    index = reference_edge_index(n)
+    want = []
+    for y in range(1, n + 1):
+        xs = range(1, n + 2 - y)
+        want += [index[(x, y), (x + 1, y)] for x in xs]
+        want += [index[(x, y), (x, y + 1)] for x in xs]
+        want += [index[(x + 1, y), (x, y + 1)] for x in xs]
+    g = TriGrid(n)
+    assert "sweep_order" not in vars(g)  # built on first use, not by every grid
+    assert g.sweep_order is g.sweep_order and g.sweep_order.dtype == np.int64
+    assert g.sweep_order.tolist() == want
+    assert sorted(want) == list(range(g.num_edges))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 48])
+def test_edge_bases(n):
+    g = build_grid(n)
+    x, y = g.vertex_xy[g.u_of_edge].T
+    assert np.array_equal(g.edge_base_x, x) and np.array_equal(g.edge_base_y, y)
+    assert g.edge_base_x.dtype == g.edge_base_y.dtype == np.int64
 
 
 def test_foreign_edge_rejected(g2, g5):
