@@ -11,7 +11,7 @@ import functools
 import os
 import sys
 
-from .cycles import census, signature, verify_pair
+from .cycles import MAX_WHOLE_CENSUS_SIDE, census, verify_pair
 from .errors import InvalidParameterError, TrislitherError
 from .evenalg import (
     basis_cardinality,
@@ -70,9 +70,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    if args.max_cycles is None and args.n > 5:
-        # Side 6 has 16.8 million cycles, and the census keeps each one.
-        raise InvalidParameterError(f"a census past --n 5 needs --max-cycles, got --n {args.n}")
+    # Refused before the grid is built, as ``census`` would refuse it after.
+    if args.max_cycles is None and args.n > MAX_WHOLE_CENSUS_SIDE:
+        raise InvalidParameterError(
+            f"a census past --n {MAX_WHOLE_CENSUS_SIDE} needs --max-cycles, got --n {args.n}"
+        )
     g = _grid(args.n)
     result = census(g, max_cycles=args.max_cycles)
     print(f"n: {g.n}")
@@ -104,8 +106,8 @@ def _cmd_transversal(args) -> int:
     g = a.grid
     # Both cycle files are read before any output, so a bad one prints nothing.
     if args.c1 is not None:
-        c1 = read_cycle(args.c1, grid=g)
-        c2 = read_cycle(args.c2, grid=g)
+        c1 = read_cycle(args.c1)
+        c2 = read_cycle(args.c2)
     t = build_transversal(g, a)
     svg = render_svg(g, subset=a, transversal=t, unit=args.unit_px) if args.svg_out else None
     d = decompose_transversals(t)

@@ -133,6 +133,10 @@ REWIRE_ROUNDS = 9
 # past the budget) would pass this many bytes is refused before the walk.
 MAX_ROW_BYTES = 2**27
 
+# Side 6 has 16.8 million cycles, and a census keeps each one, so a census
+# past this side needs a budget.
+MAX_WHOLE_CENSUS_SIDE = 5
+
 
 @dataclass
 class CensusResult:
@@ -160,9 +164,14 @@ def census(g: TriGrid, max_cycles: int | None = None) -> CensusResult:
     Signatures are packed two bits per face and keyed exactly, so equal
     keys mean equal signatures. The first ``PAIR_CAP`` repeated signatures
     in enumeration order give the pairs, sorted by packed signature. A
-    ``max_cycles`` budget yields a result flagged as partial.
+    ``max_cycles`` budget yields a result flagged as partial; a census past
+    side ``MAX_WHOLE_CENSUS_SIDE`` needs one.
     """
     _check_budget("max_cycles", max_cycles)
+    if max_cycles is None and g.n > MAX_WHOLE_CENSUS_SIDE:
+        raise InvalidParameterError(
+            f"a census past side {MAX_WHOLE_CENSUS_SIDE} needs max_cycles, got side {g.n}"
+        )
     # One cycle past the budget is walked to tell an exact fit from a cut.
     if max_cycles is not None and int(max_cycles) + 1 > MAX_ROW_BYTES // g.num_edges:
         raise InvalidParameterError(

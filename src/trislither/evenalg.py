@@ -106,11 +106,10 @@ class EdgeSet:
         return [self.grid.edges[i] for i in np.flatnonzero(self.bits)]
 
     def vertex_pairs(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        out = []
-        for e in self.edges():
-            a, b = e.endpoints
-            out.append(((a.x, a.y), (b.x, b.y)))
-        return out
+        """The (base, tip) coordinates of each edge, in edge order."""
+        g, idx = self.grid, np.flatnonzero(self.bits)
+        ends = np.hstack([g.vertex_xy[g.u_of_edge[idx]], g.vertex_xy[g.v_of_edge[idx]]])
+        return [((x1, y1), (x2, y2)) for x1, y1, x2, y2 in ends.tolist()]
 
     def __repr__(self) -> str:
         return f"EdgeSet(n={self.grid.n}, |A|={len(self)})"
@@ -136,23 +135,35 @@ def permute_bits(bits: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 def is_totally_even(g: TriGrid, a: EdgeSet) -> bool:
     """True iff every vertex and every finite face meets ``a`` evenly."""
-    return totally_even_violation(g, a) is None
+    return _first_odd(g, a) is None
 
 
 def totally_even_violation(g: TriGrid, a: EdgeSet) -> str | None:
     """None if totally even, else a human-readable reason."""
+    odd = _first_odd(g, a)
+    if odd is None:
+        return None
+    kind, i = odd
+    if kind == "vertex":
+        v = Vertex(*g.vertex_xy[i].tolist())
+        return f"vertex {v} has odd incidence ({a.bits[g.nbr_edge[i, : g.deg[i]]].sum()})"
+    x, y, up = (int(c) for c in _face_layout(g.n, i))
+    count = a.bits[g.face_edges_idx[i]].sum()
+    return f"face {Face(Vertex(x, y), bool(up))} contains {count} edges"
+
+
+def _first_odd(g: TriGrid, a: EdgeSet) -> tuple[str, int] | None:
+    """("vertex", index) of the first vertex that meets ``a`` oddly, else
+    ("face", index) of the first finite face that does, else None."""
     if a.grid.n != g.n:
         raise InvalidInputError("edge set does not belong to this grid")
-    deg = _vertex_degrees(g, a.bits)
-    odd = np.flatnonzero(deg % 2)
+    odd = np.flatnonzero(_vertex_degrees(g, a.bits) % 2)
     if odd.size:
-        v = Vertex(*g.vertex_xy[odd[0]].tolist())
-        return f"vertex {v} has odd incidence ({deg[odd[0]]})"
+        return "vertex", int(odd[0])
     bits, fe = a.bits, g.face_edges_idx
     bad = np.flatnonzero(bits[fe[:, 0]] ^ bits[fe[:, 1]] ^ bits[fe[:, 2]])
     if bad.size:
-        x, y, up = (int(a[bad[0]]) for a in _face_layout(g.n))
-        return f"face {Face(Vertex(x, y), bool(up))} contains {bits[fe[bad[0]]].sum()} edges"
+        return "face", int(bad[0])
     return None
 
 

@@ -42,10 +42,8 @@ MAX_SIDE = 256
 
 
 def dumps_edge_set(a: EdgeSet) -> str:
-    g = a.grid
-    idx = np.flatnonzero(a.bits)
-    ends = np.hstack([g.vertex_xy[g.u_of_edge[idx]], g.vertex_xy[g.v_of_edge[idx]]])
-    lines = [f"n {g.n}"] + [f"edge {x1} {y1} {x2} {y2}" for x1, y1, x2, y2 in ends.tolist()]
+    pairs = a.vertex_pairs()
+    lines = [f"n {a.grid.n}"] + [f"edge {x1} {y1} {x2} {y2}" for (x1, y1), (x2, y2) in pairs]
     return "\n".join(lines) + "\n"
 
 
@@ -231,10 +229,10 @@ def write_cycle(path: str | os.PathLike, c: Cycle) -> None:
         fh.write(dumps_cycle(c))
 
 
-def loads_cycle(text: str, path: str = "<string>", grid: TriGrid | None = None) -> Cycle:
-    """The cycle of a cycle file, on ``grid`` if the file declares its side."""
+def loads_cycle(text: str, path: str = "<string>") -> Cycle:
+    """The cycle of a cycle file."""
     n, records = _parse_lines(path, text)
-    g = grid if grid is not None and grid.n == n else build_grid(n)
+    g = build_grid(n)
     kinds = {parts[0] for _, parts in records}
     if not records:
         raise FileFormatError(path, 0, "cycle file has no edge or walk records")
@@ -260,6 +258,6 @@ def loads_cycle(text: str, path: str = "<string>", grid: TriGrid | None = None) 
     )
 
 
-def read_cycle(path: str | os.PathLike, grid: TriGrid | None = None) -> Cycle:
+def read_cycle(path: str | os.PathLike) -> Cycle:
     with open(path, "r", encoding="ascii") as fh:
-        return loads_cycle(fh.read(), path=str(path), grid=grid)
+        return loads_cycle(fh.read(), path=str(path))

@@ -119,16 +119,19 @@ def _reflect(n, x, y):
 
 
 def _rotate(n, x, y):
-    # The 120-degree rotation of ``TriGrid.rotate_vertex``. Works on ints and int arrays.
+    # One of the two 120-degree rotations about the center. It has order three
+    # and cycles the corners (1,1) -> (1,n+1) -> (n+1,1) -> (1,1). Works on ints
+    # and int arrays.
     return y, n + 3 - x - y
 
 
-def _face_layout(n: int):
-    """Anchor x, anchor y and up flag of every face, in index order; row y
-    starts after the (y-1)(2n+1-y) faces of rows 1 .. y-1."""
-    y = np.repeat(np.arange(1, n + 1), np.arange(2 * n - 1, 0, -2))
-    k = np.arange(n * n) - (y - 1) * (2 * n + 1 - y)
-    return k // 2 + 1, y, k % 2 == 0
+def _face_layout(n: int, f):
+    """Anchor x, anchor y and up flag of face ``f``, an index or an int array
+    of them. Rows 1 .. y-1 hold n^2 - (n+1-y)^2 faces, so face f lies in the
+    row with k = ceil(sqrt(n^2 - f)) up faces, which alternate with down faces."""
+    k = np.ceil(np.sqrt(n * n - f)).astype(np.int64)
+    offset = f - (n * n - k * k)
+    return offset // 2 + 1, n + 1 - k, offset % 2 == 0
 
 
 def _is_int(value) -> bool:
@@ -145,12 +148,13 @@ class TriGrid:
     """Triangular grid of side n with full incidence and symmetry maps.
 
     The int64 index arrays are the storage, computed by index arithmetic
-    on vertex coordinates. ``vertices``, ``edges`` and ``faces`` are tuples
-    of objects built from them on first use. Instances are immutable after
-    construction and safe to share between threads; every operation on
-    them is a pure function. Every array a grid holds, including those its
-    cached properties build, is read-only: ``build_grid`` hands one grid to
-    every caller of its side, so a write would change it for all of them.
+    on vertex coordinates, and every query is answered in edge, vertex or
+    face indices. ``vertices`` and ``edges`` are tuples of objects built
+    from them on first use. Instances are immutable after construction and
+    safe to share between threads; every operation on them is a pure
+    function. Every array a grid holds, including those its cached
+    properties build, is read-only: ``build_grid`` hands one grid to every
+    caller of its side, so a write would change it for all of them.
     """
 
     def __init__(self, n: int):
@@ -177,7 +181,7 @@ class TriGrid:
         def slot(v, d):
             return self.edge_slot[3 * v + d]
 
-        fx, fy, up = _face_layout(n)
+        fx, fy, up = _face_layout(n, np.arange(n * n))
         a = _vertex_id(n, fx, fy)
         right, above = a + 1, _vertex_id(n, fx, fy + 1)
         self.face_edges_idx = np.where(
@@ -247,19 +251,6 @@ class TriGrid:
         return tuple(Edge(vs[u], dirs[d]) for u, d in zip(us, self.edge_dir.tolist()))
 
     @cached_property
-    def faces(self) -> tuple[Face, ...]:
-        fx, fy, up = (a.tolist() for a in _face_layout(self.n))
-        return tuple(Face(Vertex(x, y), u) for x, y, u in zip(fx, fy, up))
-
-    @cached_property
-    def vertex_edges_idx(self) -> tuple[np.ndarray, ...]:
-        """The edges of each vertex, in edge order."""
-        rows = np.sort(self.nbr_edge, axis=1)  # the -1 padding sorts first
-        rows.setflags(write=False)  # the row views cut from it inherit this
-        k = rows.shape[1]
-        return tuple(row[k - d:] for row, d in zip(rows, self.deg.tolist()))
-
-    @cached_property
     def sweep_order(self) -> np.ndarray:
         """The edges row by row from the bottom, as a bottom-up sweep fixes
         them: in each row the E edges of its up faces left to right, then
@@ -315,19 +306,12 @@ class TriGrid:
             raise InvalidInputError(f"vertex {v} is not in the side-{self.n} grid")
         return _vertex_id(self.n, v.x, v.y)
 
-    def _find_edge(self, e: Edge) -> int:
-        """Index of edge ``e``, or -1 when it is not an edge of this grid."""
-        (ax, ay), (bx, by) = ((v.x, v.y) for v in e.endpoints)
-        return int(self.edge_ids(ax, ay, bx, by))
-
     def edge_index(self, e: Edge) -> int:
-        i = self._find_edge(e)
+        (ax, ay), (bx, by) = ((v.x, v.y) for v in e.endpoints)
+        i = int(self.edge_ids(ax, ay, bx, by))
         if i < 0:
             raise InvalidEdgeError(f"edge {e} is not in the side-{self.n} grid")
         return i
-
-    def has_edge(self, e: Edge) -> bool:
-        return self._find_edge(e) >= 0
 
     def face_index(self, f: Face) -> int:
         n, x, y, down = self.n, f.anchor.x, f.anchor.y, not f.up
@@ -348,19 +332,6 @@ class TriGrid:
             )
         return Edge(Vertex(*self.vertex_xy[self.u_of_edge[i]].tolist()), Dir(self.edge_dir[i]))
 
-    def vertex_edges(self, v: Vertex) -> list[Edge]:
-        return [self.edges[i] for i in self.vertex_edges_idx[self.vertex_index(v)]]
-
-    def face_edges(self, f: Face) -> list[Edge]:
-        return [self.edges[i] for i in self.face_edges_idx[self.face_index(f)]]
-
-    def edge_faces(self, e: Edge) -> list[Face]:
-        i = self.edge_index(e)
-        return [self.faces[f] for f in np.flatnonzero((self.face_edges_idx == i).any(axis=1))]
-
-    def side_edges(self, side: Side) -> list[Edge]:
-        return [self.edges[i] for i in self.side_edge_indices(side)]
-
     def side_edge_indices(self, side: Side) -> np.ndarray:
         n, j = self.n, np.arange(1, self.n + 1)
         x, y, d = {
@@ -369,32 +340,6 @@ class TriGrid:
             Side.RIGHT: (n + 2 - j, j, Dir.NW),
         }[side]
         return self.edge_slot[3 * _vertex_id(n, x, y) + d]
-
-    @property
-    def middle_edges(self) -> list[Edge]:
-        return [self.edges[i] for i in self.middle_edge_idx]
-
-    # -- symmetries ---------------------------------------------------------
-
-    def reflect_vertex(self, v: Vertex) -> Vertex:
-        """Mirror across the vertical axis through the apex."""
-        return Vertex(*_reflect(self.n, v.x, v.y))
-
-    def rotate_vertex(self, v: Vertex) -> Vertex:
-        """One of the two 120-degree rotations about the center.
-
-        The map (x, y) -> (y, n+3-x-y) has order three and cycles the
-        corners (1,1) -> (1,n+1) -> (n+1,1) -> (1,1).
-        """
-        return Vertex(*_rotate(self.n, v.x, v.y))
-
-    def reflect_middle(self, e: Edge) -> Edge:
-        i = self.edge_index(e)
-        return self.edges[self.reflect_eperm[i]]
-
-    def rotate(self, e: Edge) -> Edge:
-        i = self.edge_index(e)
-        return self.edges[self.rotate_eperm[i]]
 
     def __repr__(self) -> str:
         return f"TriGrid(n={self.n})"
@@ -414,6 +359,6 @@ def build_grid(n: int) -> TriGrid:
 
 @lru_cache(maxsize=1)
 def _last_grid(n: int) -> TriGrid:
-    # One grid, not one per side: a side-256 grid with its object views and
-    # step lists holds about 70 MB.
+    # One grid, not one per side: a side-256 grid with its vertex and edge
+    # objects and step lists holds about 55 MB (tracemalloc).
     return TriGrid(n)

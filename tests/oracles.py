@@ -39,17 +39,13 @@ def edge_mask(edge_set) -> int:
     return int(sum(1 << int(i) for i in np.flatnonzero(edge_set.bits)))
 
 
-def mask_bits(mask: int, n_edges: int) -> np.ndarray:
-    return np.array([(mask >> e) & 1 for e in range(n_edges)], dtype=bool)
-
-
 def all_even_subset_masks(g: TriGrid) -> set[int]:
     """Every subset meeting each vertex and finite face evenly."""
     n_edges = g.num_edges
     assert n_edges <= 20, "oracle is exponential in the edge count"
     masks = np.arange(1 << n_edges, dtype=np.int64)
     ok = np.ones(masks.shape, dtype=bool)
-    constraints = [list(map(int, g.vertex_edges_idx[vi])) for vi in range(g.num_vertices)]
+    constraints = [g.nbr_edge[vi, : g.deg[vi]].tolist() for vi in range(g.num_vertices)]
     constraints += [list(map(int, triple)) for triple in g.face_edges_idx]
     for edges in constraints:
         par = np.zeros(masks.shape, dtype=np.int8)
@@ -64,7 +60,7 @@ def _reference_constraint_rows(g: TriGrid) -> list[int]:
     rows = []
     for vi in range(g.num_vertices):
         row = 0
-        for ei in g.vertex_edges_idx[vi]:
+        for ei in g.nbr_edge[vi, : g.deg[vi]]:
             row |= 1 << int(ei)
         rows.append(row)
     for triple in g.face_edges_idx:
@@ -209,7 +205,6 @@ def reference_layout(n: int) -> dict:
         "nbr": [[w for w, _ in sorted(inc)] + p for inc, p in zip(incident, pad)],
         "nbr_edge": [[k for _, k in sorted(inc)] + p for inc, p in zip(incident, pad)],
         "deg": [len(inc) for inc in incident],
-        "vertex_edges_idx": [sorted(k for _, k in inc) for inc in incident],
         "bottom_edge_idx": [edge((i, 1), (i + 1, 1)) for i in range(1, n + 1)],
         "reflect_eperm": image(reflect),
         "rotate_eperm": image(rotate),

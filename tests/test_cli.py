@@ -272,7 +272,7 @@ def test_transversal_with_pair_and_svg(tmp_path, capsys, g5):
     assert text.count('class="transversal"') == 21
 
 
-@pytest.mark.parametrize("other_side, built", [(5, [5]), (6, [5, 6])])
+@pytest.mark.parametrize("other_side, built", [(5, [5, 5, 5]), (6, [5, 5, 6])])
 def test_transversal_reads_the_cycles_onto_the_subset_grid(
     tmp_path, capsys, monkeypatch, g5, other_side, built
 ):
@@ -287,13 +287,15 @@ def test_transversal_reads_the_cycles_onto_the_subset_grid(
     paths = [tmp_path / "c1.cycle", tmp_path / "c2.cycle"]
     for path, c in zip(paths, (c1, c2)):
         write_cycle(path, c)
-    sides = []
+    grids = []
     build = fileio.build_grid
-    monkeypatch.setattr(fileio, "build_grid", lambda n: sides.append(n) or build(n))
+    monkeypatch.setattr(fileio, "build_grid", lambda n: grids.append(build(n)) or grids[-1])
     argv = ["transversal", "--in", str(a_path), "--c1", str(paths[0]), "--c2", str(paths[1])]
     code, out, err = run(capsys, *argv)
-    assert sides == built
+    assert [g.n for g in grids] == built
     if other_side == 5:
+        # The subset's grid is the last one built, so both cycles are read onto it.
+        assert all(g is grids[0] for g in grids)
         assert (code, err) == (0, "")
         assert "alternation: OK" in out
     else:

@@ -36,12 +36,15 @@ from trislither import _kernels, cycles
 from trislither.evenalg import permute_bits
 from trislither.grid import Face
 
+from conftest import deadline
 from oracles import edge_mask, reference_rewire_shared_side, simple_cycle_masks
 from refcycles import t5_pair
 
 
 def face_set(g, anchor, up=True):
-    return EdgeSet.from_edges(g, g.face_edges(Face(Vertex(*anchor), up)))
+    bits = np.zeros(g.num_edges, dtype=bool)
+    bits[g.face_edges_idx[g.face_index(Face(Vertex(*anchor), up))]] = True
+    return EdgeSet(g, bits)
 
 
 # -- validation ----------------------------------------------------------------
@@ -99,7 +102,9 @@ def test_reference_pair_signatures_match(g5):
 
 def test_boundary_cycle_signature():
     g = build_grid(4)
-    boundary = EdgeSet.from_edges(g, [e for s in Side for e in g.side_edges(s)])
+    bits = np.zeros(g.num_edges, dtype=bool)
+    bits[np.concatenate([g.side_edge_indices(s) for s in Side])] = True
+    boundary = EdgeSet(g, bits)
     c = validate_cycle(g, boundary)
     sig = signature(g, c)
     for fi in range(g.num_faces):
@@ -281,6 +286,20 @@ def test_census_budget_bound_is_checked_before_the_walk(monkeypatch):
     with pytest.raises(InvalidParameterError, match=message):
         census(g3, max_cycles=11)
     assert census(g3).total_cycles == 110  # a whole census has no budget to check
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_whole_census_past_side_5_is_refused_before_the_walk(monkeypatch, n):
+    """Side 6 has 16.8 million cycles; a whole census would hold them all."""
+    g = build_grid(n)
+    with deadline(10):
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "walk_cycles", lambda *args: pytest.fail("the DFS ran"))
+            message = rf"^a census past side 5 needs max_cycles, got side {n}$"
+            with pytest.raises(InvalidParameterError, match=message):
+                census(g)
+        r = census(g, max_cycles=10)
+    assert (r.total_cycles, r.partial) == (10, True)
 
 
 # -- pair verification --------------------------------------------------------------

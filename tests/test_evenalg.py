@@ -69,12 +69,35 @@ def test_odd_face_is_named_without_object_views():
     # face in index order is up@(2,2), which holds one of its edges.
     a = EdgeSet.from_pairs(g, [((3, 2), (2, 3)), ((3, 2), (3, 3)), ((2, 3), (3, 3))])
     assert totally_even_violation(g, a) == "face up@(2,2) contains 1 edges"
-    assert not {"vertices", "edges", "faces"} & set(vars(g))
+    assert not {"vertices", "edges"} & set(vars(g))
     # The boundary of up@(1,1), the first face, which holds all three.
     g = TriGrid(3)
     a = EdgeSet.from_pairs(g, [((1, 1), (2, 1)), ((1, 1), (1, 2)), ((2, 1), (1, 2))])
     assert totally_even_violation(g, a) == "face up@(1,1) contains 3 edges"
-    assert not {"vertices", "edges", "faces"} & set(vars(g))
+    assert not {"vertices", "edges"} & set(vars(g))
+
+
+def test_odd_vertex_message():
+    g = build_grid(4)
+    # (2,2) meets three of the edges, (1,1) none: the first odd vertex is (2,1).
+    a = EdgeSet.from_pairs(g, [((2, 1), (2, 2)), ((2, 2), (3, 2)), ((2, 2), (1, 3))])
+    assert totally_even_violation(g, a) == "vertex (2,1) has odd incidence (1)"
+    a = EdgeSet.from_pairs(g, [((2, 2), (3, 2)), ((2, 2), (1, 3)), ((2, 2), (2, 3))])
+    assert totally_even_violation(g, a) == "vertex (2,2) has odd incidence (3)"
+
+
+def test_verdict_builds_no_message(monkeypatch):
+    """is_totally_even names no face, so it lays out none."""
+    from trislither import evenalg
+
+    def no_layout(*args):
+        raise AssertionError("a face layout was computed")
+
+    g = build_grid(7)
+    a = EdgeSet.from_pairs(g, [((3, 2), (2, 3)), ((3, 2), (3, 3)), ((2, 3), (3, 3))])
+    monkeypatch.setattr(evenalg, "_face_layout", no_layout)
+    assert not is_totally_even(g, a)
+    assert is_totally_even(g, basis_subset(g, 2))
 
 
 def test_hex_ring_fixture_is_totally_even(g6):

@@ -42,31 +42,46 @@ def test_count_formulas(n):
     assert g.num_vertices == comb(n + 2, 2)
     assert g.num_edges == 3 * comb(n + 1, 2)
     assert g.num_faces == n * n
-    ups = sum(1 for f in g.faces if f.up)
+    # An up face has its horizontal edge at its bottom, a down face at its top.
+    fe = g.face_edges_idx
+    y = g.edge_base_y[fe]
+    ups = int(np.count_nonzero(y[g.edge_dir[fe] == Dir.E] == y.min(axis=1)))
     downs = g.num_faces - ups
     assert ups == n * (n + 1) // 2
     assert downs == n * (n - 1) // 2
 
 
+def _faces(n):
+    """Every face of the side-n grid: up faces at x + y <= n + 1, down faces at x + y <= n."""
+    return [
+        Face(Vertex(x, y), up)
+        for y in range(1, n + 1) for x in range(1, n + 2 - y) for up in (True, False)
+        if up or x + y <= n
+    ]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_incidence_consistency(n):
     g = build_grid(n)
-    for v in g.vertices:
-        for e in g.vertex_edges(v):
-            assert v in e.endpoints
-    for e in g.edges:
-        u, v = e.endpoints
-        assert e in g.vertex_edges(u) and e in g.vertex_edges(v)
-        faces = g.edge_faces(e)
+    ends = list(zip(g.u_of_edge.tolist(), g.v_of_edge.tolist()))
+    incident = [set(g.nbr_edge[v, : g.deg[v]].tolist()) for v in range(g.num_vertices)]
+    for v, es in enumerate(incident):
+        for e in es:
+            assert v in ends[e]
+    fe = g.face_edges_idx.tolist()
+    for e, (u, v) in enumerate(ends):
+        assert e in incident[u] and e in incident[v]
+        faces = [f for f, es in enumerate(fe) if e in es]
         assert len(faces) in (1, 2)
-        for f in faces:
-            assert e in g.face_edges(f)
-    for f in g.faces:
-        es = g.face_edges(f)
+        assert len(faces) == g.edge_face_count[e]
+    xy = [Vertex(*p) for p in g.vertex_xy.tolist()]
+    assert len(_faces(n)) == g.num_faces
+    for f in _faces(n):
+        es = fe[g.face_index(f)]
         assert len(set(es)) == 3
         corners = set(f.corners)
         for e in es:
-            assert set(e.endpoints) <= corners
+            assert {xy[v] for v in ends[e]} <= corners
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20])
@@ -76,8 +91,8 @@ def test_degree_distribution(n):
     corners = {Vertex(1, 1), Vertex(n + 1, 1), Vertex(1, n + 1)}
     boundary_vertices = set()
     for s in Side:
-        for e in g.side_edges(s):
-            boundary_vertices.update(e.endpoints)
+        for e in g.side_edge_indices(s):
+            boundary_vertices.update(g.edges[e].endpoints)
     for v in g.vertices:
         d = g.deg[g.vertex_index(v)]
         if v in corners:
@@ -88,39 +103,42 @@ def test_degree_distribution(n):
             assert d == 6
 
 
+def _ids(g, *pairs):
+    return [int(g.edge_ids(*a, *b)) for a, b in pairs]
+
+
 def test_side_edges_examples():
     g3 = build_grid(3)
-    assert g3.side_edges(Side.BOTTOM) == [
-        g3.edge_between((1, 1), (2, 1)),
-        g3.edge_between((2, 1), (3, 1)),
-        g3.edge_between((3, 1), (4, 1)),
-    ]
-    assert g3.side_edges(Side.RIGHT) == [
-        g3.edge_between((4, 1), (3, 2)),
-        g3.edge_between((3, 2), (2, 3)),
-        g3.edge_between((2, 3), (1, 4)),
-    ]
+    assert g3.side_edge_indices(Side.BOTTOM).tolist() == _ids(
+        g3, ((1, 1), (2, 1)), ((2, 1), (3, 1)), ((3, 1), (4, 1))
+    )
+    assert g3.side_edge_indices(Side.RIGHT).tolist() == _ids(
+        g3, ((4, 1), (3, 2)), ((3, 2), (2, 3)), ((2, 3), (1, 4))
+    )
     g1 = build_grid(1)
-    assert g1.side_edges(Side.RIGHT) == [g1.edge_between((2, 1), (1, 2))]
+    assert g1.side_edge_indices(Side.RIGHT).tolist() == _ids(g1, ((2, 1), (1, 2)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
 def test_sides_partition_boundary(n):
     g = build_grid(n)
-    side_sets = [set(g.side_edges(s)) for s in Side]
+    side_sets = [set(g.side_edge_indices(s).tolist()) for s in Side]
     for i in range(3):
         assert len(side_sets[i]) == n
         for j in range(i + 1, 3):
             assert not side_sets[i] & side_sets[j]
-    boundary = {g.edges[i] for i in np.flatnonzero(g.boundary_edge_mask)}
+    boundary = set(np.flatnonzero(g.boundary_edge_mask).tolist())
     assert boundary == side_sets[0] | side_sets[1] | side_sets[2]
 
 
 def test_reflect_examples(g5):
-    assert g5.reflect_middle(g5.edge_between((2, 1), (3, 1))) == g5.edge_between((4, 1), (5, 1))
-    assert g5.reflect_middle(g5.edge_between((1, 1), (1, 2))) == g5.edge_between((6, 1), (5, 2))
-    for e in g5.middle_edges:
-        assert g5.reflect_middle(e) == e
+    perm = g5.reflect_eperm.tolist()
+    for a, b in [(((2, 1), (3, 1)), ((4, 1), (5, 1))), (((1, 1), (1, 2)), ((6, 1), (5, 2)))]:
+        i, j = _ids(g5, a, b)
+        assert perm[i] == j and perm[j] == i
+    middle = _ids(g5, ((3, 1), (4, 1)), ((2, 3), (3, 3)), ((1, 5), (2, 5)))
+    assert g5.middle_edge_idx.tolist() == middle
+    assert [perm[e] for e in middle] == middle
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
@@ -129,13 +147,17 @@ def test_reflect_is_involution(n):
     perm = g.reflect_eperm
     assert np.array_equal(perm[perm], np.arange(g.num_edges))
     assert sorted(perm) == list(range(g.num_edges))
+    # The edges the mirror fixes are exactly those its axis crosses.
+    assert np.array_equal(np.flatnonzero(perm == np.arange(g.num_edges)), g.middle_edge_idx)
 
 
 def test_rotate_examples():
     g3 = build_grid(3)
-    assert g3.rotate_vertex(Vertex(1, 1)) == Vertex(1, 4)
-    bottom_image = {g3.rotate(e) for e in g3.side_edges(Side.BOTTOM)}
-    assert bottom_image == set(g3.side_edges(Side.LEFT))
+    perm = g3.rotate_eperm
+    bottom, left, right = (set(g3.side_edge_indices(s).tolist()) for s in Side)
+    assert set(perm[list(bottom)].tolist()) == left
+    assert set(perm[list(left)].tolist()) == right
+    assert set(perm[list(right)].tolist()) == bottom
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
@@ -143,19 +165,29 @@ def test_rotate_order_three(n):
     g = build_grid(n)
     perm = g.rotate_eperm
     assert np.array_equal(perm[perm[perm]], np.arange(g.num_edges))
+    # The corners cycle (1,1) -> (1,n+1) -> (n+1,1), and so do their two edges.
     corners = [Vertex(1, 1), Vertex(1, n + 1), Vertex(n + 1, 1)]
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        assert g.rotate_vertex(a) == b
+    corner_edges = [set(g.nbr_edge[g.vertex_index(v), :2].tolist()) for v in corners]
+    for a, b in zip(corner_edges, corner_edges[1:] + corner_edges[:1]):
+        assert set(perm[list(a)].tolist()) == b
 
 
 @pytest.mark.parametrize("n", [*range(1, 13), 40])
 def test_edge_maps_agree_with_vertex_maps(n):
     """The image of every edge joins the images of its endpoints."""
+
+    def reflect(x, y):  # the mirror across the vertical axis through the apex
+        return n + 3 - x - y, y
+
+    def rotate(x, y):  # the 120-degree turn (1,1) -> (1,n+1) -> (n+1,1)
+        return y, n + 3 - x - y
+
     g = build_grid(n)
-    maps = ((g.reflect_eperm, g.reflect_vertex), (g.rotate_eperm, g.rotate_vertex))
-    for perm, vertex_map in maps:
-        for e, image in zip(g.edges, perm.tolist()):
-            assert set(g.edges[image].endpoints) == {vertex_map(v) for v in e.endpoints}
+    xy = [tuple(p) for p in g.vertex_xy.tolist()]
+    ends = list(zip(g.u_of_edge.tolist(), g.v_of_edge.tolist()))
+    for perm, vertex_map in ((g.reflect_eperm, reflect), (g.rotate_eperm, rotate)):
+        for (u, v), image in zip(ends, perm.tolist()):
+            assert {xy[w] for w in ends[image]} == {vertex_map(*xy[u]), vertex_map(*xy[v])}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -204,12 +236,10 @@ def test_build_errors():
 
 def _arrays(g):
     """(name, array) for every array a grid holds, its cached ones built first."""
-    g.vertices, g.edges, g.vertex_edges_idx, g.vertex_bit, g.nbr_steps, g.sweep_order
+    g.vertices, g.edges, g.vertex_bit, g.nbr_steps, g.sweep_order
     for name, value in vars(g).items():
-        parts = value if isinstance(value, tuple) else (value,)
-        for k, a in enumerate(parts):
-            if isinstance(a, np.ndarray):
-                yield (name if a is value else f"{name}[{k}]"), a
+        if isinstance(value, np.ndarray):
+            yield name, value
 
 
 def _assert_same_grid(g, fresh):
@@ -218,7 +248,7 @@ def _assert_same_grid(g, fresh):
     for name, a in got.items():
         assert a.dtype == want[name].dtype and np.array_equal(a, want[name]), name
     assert g.nbr_steps == fresh.nbr_steps
-    assert (g.vertices, g.edges, g.faces) == (fresh.vertices, fresh.edges, fresh.faces)
+    assert (g.vertices, g.edges) == (fresh.vertices, fresh.edges)
 
 
 def test_build_grid_shares_the_last_grid():
@@ -274,8 +304,8 @@ def test_grid_arrays_are_read_only(n):
     """A grid is shared, so a write would change the next caller's grid."""
     arrays = dict(_arrays(build_grid(n)))
     assert {
-        "vertex_xy", "nbr_edge", "bottom_edge_idx", "vertex_bit", "vertex_edges_idx[0]",
-        "sweep_order", "edge_base_x", "edge_base_y",
+        "vertex_xy", "nbr_edge", "bottom_edge_idx", "vertex_bit", "sweep_order",
+        "edge_base_x", "edge_base_y",
     } <= arrays.keys()
     for name, a in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
@@ -310,26 +340,24 @@ def test_edge_bases(n):
 
 def test_foreign_edge_rejected(g2, g5):
     foreign = g5.edge_between((5, 1), (6, 1))
-    with pytest.raises(InvalidEdgeError):
-        g2.reflect_middle(foreign)
-    with pytest.raises(InvalidEdgeError):
-        g2.rotate(foreign)
+    with pytest.raises(InvalidEdgeError, match=r"edge \(5,1\)-\(6,1\) is not in the side-2 grid"):
+        g2.edge_index(foreign)
     with pytest.raises(InvalidEdgeError):
         g2.edge_between((1, 1), (3, 1))
     no_slot = Edge(Vertex(1, 1), Dir.NW)
-    assert not g2.has_edge(no_slot) and not g2.has_edge(foreign)
+    assert g2.edge_ids(1, 1, 0, 2) < 0 and g2.edge_ids(5, 1, 6, 1) < 0
     with pytest.raises(InvalidEdgeError, match=r"edge \(1,1\)-\(0,2\) is not in the side-2 grid"):
         g2.edge_index(no_slot)
     with pytest.raises(InvalidInputError, match=r"vertex \(9,9\) is not in the side-2 grid"):
         g2.vertex_index(Vertex(9, 9))
     with pytest.raises(InvalidInputError, match=r"vertex \(3,2\) is not in the side-2 grid"):
-        g2.vertex_edges(Vertex(3, 2))
+        g2.vertex_index(Vertex(3, 2))
     with pytest.raises(InvalidInputError, match=r"face up@\(9,9\) is not in the side-2 grid"):
         g2.face_index(Face(Vertex(9, 9), True))
     # The up-face at (1, 2) exists; the down-face there would poke out of the grid.
     assert g2.face_index(Face(Vertex(1, 2), True)) == 3
     with pytest.raises(InvalidInputError, match=r"face down@\(1,2\) is not in the side-2 grid"):
-        g2.face_edges(Face(Vertex(1, 2), False))
+        g2.face_index(Face(Vertex(1, 2), False))
 
 
 def test_edge_between_accepts_either_order(g5):
@@ -374,12 +402,8 @@ def test_layout_matches_reference(n):
     ref = reference_layout(n)
     for name, want in ref.items():
         got = getattr(g, name)
-        if name == "vertex_edges_idx":
-            assert all(row.dtype == np.int64 for row in got)
-            assert [row.tolist() for row in got] == want
-        else:
-            assert got.dtype == (bool if name == "boundary_edge_mask" else np.int64), name
-            assert got.tolist() == want, name
+        assert got.dtype == (bool if name == "boundary_edge_mask" else np.int64), name
+        assert got.tolist() == want, name
     xy = ref["vertex_xy"]
     for e, u, v in zip(g.edges, ref["u_of_edge"], ref["v_of_edge"]):
         assert e.endpoints == (Vertex(*xy[u]), Vertex(*xy[v]))

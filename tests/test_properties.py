@@ -60,7 +60,7 @@ def test_totally_even_matches_direct_definition(mask):
     a = EdgeSet(g, bits)
     by_definition = True
     for vi in range(g.num_vertices):
-        if sum(bits[int(e)] for e in g.vertex_edges_idx[vi]) % 2:
+        if sum(bits[int(e)] for e in g.nbr_edge[vi, : g.deg[vi]]) % 2:
             by_definition = False
     for triple in g.face_edges_idx:
         if sum(bits[int(e)] for e in triple) % 2:
