@@ -105,11 +105,15 @@ class EdgeSet:
     def edges(self) -> list[Edge]:
         return [self.grid.edges[i] for i in np.flatnonzero(self.bits)]
 
+    def endpoint_xy(self) -> np.ndarray:
+        """The base and tip coordinates (x1, y1, x2, y2) of each edge, one row
+        an edge, in edge order."""
+        g, idx = self.grid, np.flatnonzero(self.bits)
+        return g.vertex_xy[np.stack([g.u_of_edge[idx], g.v_of_edge[idx]], axis=1)].reshape(-1, 4)
+
     def vertex_pairs(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
         """The (base, tip) coordinates of each edge, in edge order."""
-        g, idx = self.grid, np.flatnonzero(self.bits)
-        ends = np.hstack([g.vertex_xy[g.u_of_edge[idx]], g.vertex_xy[g.v_of_edge[idx]]])
-        return [((x1, y1), (x2, y2)) for x1, y1, x2, y2 in ends.tolist()]
+        return [((x1, y1), (x2, y2)) for x1, y1, x2, y2 in self.endpoint_xy().tolist()]
 
     def __repr__(self) -> str:
         return f"EdgeSet(n={self.grid.n}, |A|={len(self)})"

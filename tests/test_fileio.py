@@ -18,6 +18,7 @@ from trislither.fileio import (
     write_edge_set,
 )
 
+from conftest import deadline
 from oracles import reference_corner_walk_edges, reference_loads_cycle, reference_loads_edge_set
 from refcycles import T5_WALK_A, cycle_from_walk
 
@@ -435,3 +436,112 @@ def test_walk_reader_matches_reference(seed):
             _mutate(rng, lines, "walk")
         text = "\n".join(lines) + "\n"
         assert _outcome(loads_cycle, text) == _outcome(reference_loads_cycle, text), text
+
+
+# -- the whole-text pass ------------------------------------------------------
+
+_EDIT_CHARS = "0123456789 \t-#en\n\r"
+
+
+def _edit(rng, text: str) -> str:
+    """``text`` with one character inserted, deleted or substituted."""
+    k = rng.randrange(len(text) + 1)
+    c = rng.choice(_EDIT_CHARS)
+    return rng.choice([text[:k] + c + text[k:], text[:k] + text[k + 1:], text[:k] + c + text[k + 1:]])
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 48])
+def test_single_character_edits_match_reference(n):
+    """The writer's output with one character inserted, deleted or
+    substituted is read as the references read it, whether it stays in the
+    writer's layout or not: the same set or cycle, or the same error at the
+    same line."""
+    rng = random.Random(n)
+    g = build_grid(n)
+    subset = EdgeSet(g, np.array([rng.random() < 0.5 for _ in range(g.num_edges)]))
+    walk = [(1, 1), (n + 1, 1), (1, n + 1), (1, 1)]
+    forms = [
+        (loads_edge_set, reference_loads_edge_set, dumps_edge_set(subset)),
+        (loads_cycle, reference_loads_cycle, dumps_cycle(cycle_from_walk(g, walk))),
+        (loads_cycle, reference_loads_cycle, _walk_text(n, walk)),
+    ]
+    for load, reference, text in forms:
+        for _ in range(40):
+            edited = _edit(rng, text)
+            assert _outcome(load, edited) == _outcome(reference, edited), edited
+
+
+def test_writer_layout_skips_the_line_split(monkeypatch, g5):
+    """Text in the writer's layout, faulty or not, is read without
+    splitting it into lines."""
+    from trislither import fileio
+
+    def no_split(path, text, kind):
+        raise AssertionError("the text was split into lines")
+
+    monkeypatch.setattr(fileio, "_line_records", no_split)
+    for n in (2, 5, 48):
+        a = basis_subset(build_grid(n), n // 2)
+        assert loads_edge_set(dumps_edge_set(a)) == a
+    assert loads_edge_set("n 3\n") == EdgeSet.empty(build_grid(3))
+    c = cycle_from_walk(g5, T5_WALK_A)
+    assert loads_cycle(dumps_cycle(c)).edge_set == c.edge_set
+    assert loads_cycle(_walk_text(5, T5_WALK_A)).edge_set == c.edge_set
+    for load, text, message in [
+        (loads_edge_set, "n 5\nedge 1 1 2 1\nedge 2 1 1 1\n", "<string>:3: duplicate edge (1,1)-(2,1)"),
+        (loads_edge_set, "n 5\nedge 1 1 -3 1\n", "<string>:2: (1,1) and (-3,1) are not adjacent"),
+        (loads_edge_set, "n 300\nedge 1 1 2 1\n", "<string>:1: grid side 300 is outside 1..256"),
+        (loads_cycle, "n 5\n", "<string>:0: cycle file has no edge or walk records"),
+        (loads_cycle, "n 5\nwalk 1 1\nwalk 2 2\nwalk 1 1\n", "<string>:2: segment (1,1)->(2,2) does not"),
+    ]:
+        with pytest.raises(FileFormatError) as exc:
+            load(text)
+        assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "load, record, message",
+    [
+        (loads_edge_set, "edge 1 1 2 1", "<string>:3: duplicate edge (1,1)-(2,1)"),
+        (loads_edge_set, "edge\t1 1 2 1", "<string>:3: duplicate edge (1,1)-(2,1)"),
+        (loads_cycle, "walk 1 1", "<string>:2: zero-length segment at corner (1,1)"),
+    ],
+    ids=["edge", "edge-after-tab", "walk"],
+)
+def test_a_million_repeated_records_fail_fast(load, record, message):
+    """A file of a million repeated records is refused at its first fault
+    within 2 s: no more than num_edges + 2 records are split or converted."""
+    text = "n 5\n" + f"{record}\n" * 1_000_000
+    with deadline(2), pytest.raises(FileFormatError) as exc:
+        load(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("space", [" ", "\t"])
+@pytest.mark.parametrize(
+    "load, reference, record, tail",
+    [
+        (loads_edge_set, reference_loads_edge_set, "edge 1 1 2 1", "n 2"),
+        (loads_edge_set, reference_loads_edge_set, "edge 1 1 2 1", "edge 1 1"),
+        (loads_cycle, reference_loads_cycle, "edge 1 1 2 1", "walk 1 1"),
+        (loads_cycle, reference_loads_cycle, "edge 1 1 2 1", "n 2"),
+        (loads_cycle, reference_loads_cycle, "walk 1 1", "walk 1 x"),
+        (loads_cycle, reference_loads_cycle, "walk 1 1", "edge 1 1 2 1"),
+        (loads_cycle, reference_loads_cycle, "walk 1 1", "walk 2 1"),
+        (loads_cycle, reference_loads_cycle, "walk 1 1", "walk 1 1\n# end"),
+    ],
+)
+def test_faults_past_the_record_limit(space, load, reference, record, tail):
+    """A second n line, a record of another kind, a malformed walk record
+    and a walk's last corner count wherever they are, also after the first
+    num_edges + 2 records (11 on the side-2 grid)."""
+    text = "n 2\n" + f"{record}\n" * 30 + tail + "\n"
+    text = text.replace(" ", space)
+    assert _outcome(load, text) == _outcome(reference, text)
+
+
+def test_a_too_long_walk_field_past_the_record_limit():
+    text = "n 2\n" + "walk 1 1\n" * 30 + f"walk 1 {_LONG}\nwalk 1\n"
+    with pytest.raises(FileFormatError) as exc:
+        loads_cycle(text)
+    assert str(exc.value) == "<string>:32: integer field too long: 5000 digits"
