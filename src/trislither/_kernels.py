@@ -49,6 +49,23 @@ def _flood(seeds, within, s1):
         reach = grown
 
 
+def _above(g, root):
+    """The vertices above ``root``, as a mask over ``TriGrid.vertex_bit``."""
+    low = int(g.vertex_bit[root]) + 1
+    return g.vertex_mask >> low << low
+
+
+def _enter(alive, q, targets, s2):
+    """The alive set after entering the vertex at bit ``q``, which ``alive``
+    holds. Entering a target or a local cut floods from the targets again;
+    entering any other vertex drops its bit."""
+    inner = alive ^ 1 << q
+    # As the vertex is alive, so are all its free neighbours.
+    if targets >> q & 1 or _SPLITS[_ring(alive, q, s2)]:
+        return _flood(targets & inner, inner, s2 - 1)
+    return inner
+
+
 def walk_cycles(g, root):
     """Yield every simple cycle of grid ``g`` whose lowest vertex is
     ``root``, each as a ``num_edges``-byte row holding 1 at its edges.
@@ -83,10 +100,8 @@ def walk_cycles(g, root):
     a state by w and the bits that left the first step's alive set, a
     smaller int than the set itself.
     """
-    s1, s2 = g.n + 1, g.n + 2
-    above = np.zeros(s2 * s2, dtype=bool)
-    above[g.vertex_bit[root + 1 :]] = True
-    free = int.from_bytes(np.packbits(above, bitorder="little").tobytes(), "little")
+    s2 = g.n + 2
+    free = _above(g, root)
     # (neighbour, edge, bit) steps. A step below root is never alive, so only
     # the first step needs to skip those.
     steps = g.nbr_steps
@@ -96,7 +111,7 @@ def walk_cycles(g, root):
         if first < root:
             continue  # free ^ 1 << q would set its bit
         targets = sum(1 << p for w, _, p in steps[root] if w > first)
-        alive0 = _flood(targets, free ^ 1 << q, s1)
+        alive0 = _flood(targets, free ^ 1 << q, s2 - 1)
         # (w, alive ^ alive0) -> (closing edge, [edge, child, w, bit] per
         # alive step, alive ^ alive0).
         memo = {}
@@ -127,12 +142,7 @@ def walk_cycles(g, root):
             for arc in arcs:
                 e, child = arc[0], arc[1]
                 if child is None:
-                    q = arc[3]
-                    alive = alive0 ^ state[2]
-                    inner = alive ^ 1 << q
-                    # As w is alive, so are all its free neighbours.
-                    if targets >> q & 1 or _SPLITS[_ring(alive, q, s2)]:
-                        inner = _flood(targets & inner, inner, s1)
+                    inner = _enter(alive0 ^ state[2], arc[3], targets, s2)
                     child = arc[1] = node(arc[2], inner)
                 on_path[e] = 1
                 if child[0] >= 0:
@@ -145,6 +155,72 @@ def walk_cycles(g, root):
                 on_path[e] = 0
             else:
                 on_path[frames.pop()[2]] = 0
+
+
+def cycle_masks(g, root):
+    """The cycles of ``walk_cycles(g, root)``, in the same order, as one
+    list of int edge masks (bit e for edge e).
+
+    Built bottom-up over the walk's search states, one first step at a
+    time, so a state reached by many paths is expanded once, not walked
+    below once per path. A first pass finds the states below the first
+    step, each after its children, and counts the steps into each. A
+    second pass gives each state its list: its closing edge (if any), then,
+    for each alive step in index order, the child's list with that step's
+    edge added; a child's list is dropped after its last use. A closing
+    mask holds the first edge too, so every mask is a whole cycle. The
+    first pass recurses once per path vertex, and the lists hold every
+    cycle of the root, so this is for grids small enough to list every
+    cycle of; ``walk_cycles`` holds only its path.
+    """
+    s2 = g.n + 2
+    free = _above(g, root)
+    steps = g.nbr_steps
+    cycles = []
+    for first, first_edge, q in steps[root]:
+        if first < root:
+            continue
+        targets = sum(1 << p for w, _, p in steps[root] if w > first)
+        # (closing mask or 0, [(step mask, child)]) per state, children
+        # first; a state is its index here.
+        states, uses, index = [], [], {}
+
+        def visit(w, alive):
+            i = index.get((w, alive))
+            if i is None:
+                close, arcs = 0, []
+                for x, e, p in steps[w]:
+                    if x == root:
+                        if w > first:
+                            close = 1 << first_edge | 1 << e
+                    elif alive >> p & 1:
+                        arcs.append((1 << e, visit(x, _enter(alive, p, targets, s2))))
+                i = index[w, alive] = len(states)
+                states.append((close, arcs))
+                uses.append(0)
+            uses[i] += 1
+            return i
+
+        visit(first, _flood(targets, free ^ 1 << q, s2 - 1))
+        lists = []
+        for close, arcs in states:
+            masks = [close] if close else []
+            for bit, c in arcs:
+                masks += map(bit.__or__, lists[c])
+                uses[c] -= 1
+                if not uses[c]:
+                    lists[c] = None
+            lists.append(masks)
+        cycles += lists[-1]
+    return cycles
+
+
+def mask_rows(masks, num_edges):
+    """Edge masks as ``num_edges``-byte rows holding 1 at their edges, one
+    row per mask. Each mask must fit in 64 bits, as every edge set of a
+    grid up to side 6 does."""
+    words = np.array(masks, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(words, axis=1, count=num_edges, bitorder="little")
 
 
 def signature_words(rows, face_edges):

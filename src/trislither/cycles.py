@@ -178,14 +178,20 @@ def census(g: TriGrid, max_cycles: int | None = None) -> CensusResult:
             f"max_cycles must be <= {MAX_ROW_BYTES // g.num_edges - 1} at side {g.n},"
             f" got {max_cycles}"
         )
-    stream = _rows(g)
     # Grown in place, so the rows are never held twice.
     kept = bytearray()
-    for row in islice(stream, max_cycles):
-        kept += row
+    if max_cycles is None:
+        # Every search state is visited anyway, so each is expanded once.
+        for r in range(g.num_vertices):
+            kept += _kernels.mask_rows(_kernels.cycle_masks(g, r), g.num_edges).data
+        partial = False
+    else:
+        stream = _rows(g)
+        for row in islice(stream, max_cycles):
+            kept += row
+        partial = next(stream, None) is not None
+        del stream  # ends a cut walk, so its search states are freed before packing
     rows = np.frombuffer(kept, bool).reshape(-1, g.num_edges)
-    partial = max_cycles is not None and next(stream, None) is not None
-    del stream  # ends a cut walk, so its search states are freed before packing
     words = _kernels.signature_words(rows, g.face_edges_idx)
     multiplicities: dict[bytes, int] = {}
     first_row: dict[bytes, int] = {}

@@ -274,6 +274,15 @@ class TriGrid:
         return bit
 
     @cached_property
+    def vertex_mask(self) -> int:
+        """Every vertex's ``vertex_bit`` set, as one int. ``vertex_bit`` rises
+        with the vertex index, so the vertices above vertex v are this int
+        shifted down and back up by ``vertex_bit[v] + 1``."""
+        full = np.zeros((self.n + 2) ** 2, dtype=bool)
+        full[self.vertex_bit] = True
+        return int.from_bytes(np.packbits(full, bitorder="little").tobytes(), "little")
+
+    @cached_property
     def nbr_steps(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """(neighbour, edge, neighbour's ``vertex_bit``) for each vertex, in
         neighbour order."""

@@ -220,6 +220,21 @@ def test_census_partial_budget(g3):
     assert full.total_cycles == 110
 
 
+@pytest.mark.parametrize("n, cap", [(1, 32), (2, 32), (3, 32), (4, 32), (5, 32), (5, 3)])
+def test_whole_census_equals_the_walked_census(monkeypatch, n, cap):
+    """A whole census lists each search state's cycles once, bottom-up; a
+    budget that just fits walks them. Both give the same result, field for
+    field, down to the order of the multiplicity keys and the pairs."""
+    monkeypatch.setattr(cycles, "PAIR_CAP", cap)
+    g = build_grid(n)
+    whole = census(g)
+    walked = census(g, max_cycles=whole.total_cycles)
+    assert not walked.partial
+    assert whole == walked
+    assert list(whole.multiplicities) == list(walked.multiplicities)
+    assert whole.pair_cap_hit is (n == 5 and cap < 8)
+
+
 def test_census_t5_finds_repeated_signatures(g5, census5):
     r = census5
     assert r.max_multiplicity == 2
@@ -275,6 +290,7 @@ def test_census_budget_bound_is_checked_before_the_walk(monkeypatch):
     assert most == 38042
     with monkeypatch.context() as m:
         m.setattr(_kernels, "walk_cycles", no_dfs)
+        m.setattr(_kernels, "cycle_masks", no_dfs)
         for budget in (most + 1, 100000, np.int64(10**12)):
             message = r"^max_cycles must be <= 38042 at side 48, got "
             with pytest.raises(InvalidParameterError, match=message):
@@ -295,6 +311,7 @@ def test_whole_census_past_side_5_is_refused_before_the_walk(monkeypatch, n):
     with deadline(10):
         with monkeypatch.context() as m:
             m.setattr(_kernels, "walk_cycles", lambda *args: pytest.fail("the DFS ran"))
+            m.setattr(_kernels, "cycle_masks", lambda *args: pytest.fail("the DFS ran"))
             message = rf"^a census past side 5 needs max_cycles, got side {n}$"
             with pytest.raises(InvalidParameterError, match=message):
                 census(g)

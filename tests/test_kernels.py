@@ -1,4 +1,6 @@
+import sys
 import time
+import tracemalloc
 from itertools import chain, islice
 
 import numpy as np
@@ -56,6 +58,32 @@ def test_shared_states_match_the_alive_walk_at_every_root():
         for root in range(g.num_vertices):
             got = list(islice(_kernels.walk_cycles(g, root), 500))
             assert got == list(islice(reference_alive_walk(g, root), 500)), root
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cycle_masks_match_the_walks(n):
+    """Listing each search state's cycles once, bottom-up, gives the walk's
+    rows in the walk's order at every root."""
+    g = build_grid(n)
+    with deadline(30):
+        for root in range(g.num_vertices):
+            masks = _kernels.cycle_masks(g, root)
+            got = [row.tobytes() for row in _kernels.mask_rows(masks, g.num_edges)]
+            assert got == list(_kernels.walk_cycles(g, root)), root
+            assert got == list(reference_alive_walk(g, root)), root
+
+
+def test_cycle_masks_drop_each_list_after_its_last_use(g5):
+    """Listing a root holds little more than its masks; keeping every
+    search state's list held about four times that."""
+    g5.nbr_steps, g5.vertex_mask  # built before tracing
+    tracemalloc.start()
+    try:
+        masks = _kernels.cycle_masks(g5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (sys.getsizeof(masks) + sum(map(sys.getsizeof, masks)))
 
 
 def _bit(g, v):
@@ -187,6 +215,7 @@ def test_budgeted_census_stops_enumerating_at_budget(monkeypatch, g5):
             yield row
 
     monkeypatch.setattr(_kernels, "walk_cycles", counting)
+    monkeypatch.setattr(_kernels, "cycle_masks", lambda *args: pytest.fail("listed every cycle"))
     r = census(g5, max_cycles=500)
     assert r.partial and r.total_cycles == 500
     assert len(enumerated) <= 501
