@@ -1,5 +1,8 @@
 """Hot inner loops of the census: the simple-cycle walk, which yields one
-edge row per cycle, and signature packing."""
+edge row per cycle; the bottom-up listing, which gives a root's cycles as
+int edge masks; and signature packing. A budgeted census packs its walked
+rows (``signature_words``); a whole census builds no rows and sums each
+mask's signature from a byte table (``mask_signatures``)."""
 
 import numpy as np
 
@@ -221,6 +224,21 @@ def mask_rows(masks, num_edges):
     grid up to side 6 does."""
     words = np.array(masks, dtype="<u8").view(np.uint8).reshape(-1, 8)
     return np.unpackbits(words, axis=1, count=num_edges, bitorder="little")
+
+
+def mask_signatures(words, table):
+    """Packed signatures of edge masks given as a uint64 array, the same
+    bytes as ``signature_words`` gives for their rows.
+
+    ``table`` is ``TriGrid.mask_signature_table``: one gather per mask byte
+    reads that byte's packed face counts, and their bytewise sum is the
+    mask's signature, since no face count passes 3 and so no field carries.
+    """
+    octets = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    sums = table[0].take(octets[:, 0], axis=0)
+    for b in range(1, len(table)):
+        sums += table[b].take(octets[:, b], axis=0)
+    return sums
 
 
 def signature_words(rows, face_edges):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from collections import Counter
 from itertools import chain, islice
 from typing import Iterator
 
@@ -128,13 +129,15 @@ PAIR_CAP = 32
 # ``rewire_shared_side`` gives up after this many rounds.
 REWIRE_ROUNDS = 9
 
-# A census holds every cycle as a ``num_edges``-byte row, and packing the
-# signatures takes about 1.3 times that again, so a budget whose rows (one
-# past the budget) would pass this many bytes is refused before the walk.
+# A budgeted census holds every cycle it takes as a ``num_edges``-byte row,
+# and packing the signatures takes about 1.3 times that again, so a budget
+# whose rows (one past the budget) would pass this many bytes is refused
+# before the walk. A whole census holds no rows.
 MAX_ROW_BYTES = 2**27
 
-# Side 6 has 16.8 million cycles, and a census keeps each one, so a census
-# past this side needs a budget.
+# A whole census keeps every cycle as an int edge mask, a packed signature and
+# its bytes key, about 145 bytes a cycle at side 5 (tracemalloc). Side 6 has
+# 16.8 million cycles, so a census past this side needs a budget.
 MAX_WHOLE_CENSUS_SIDE = 5
 
 
@@ -178,50 +181,75 @@ def census(g: TriGrid, max_cycles: int | None = None) -> CensusResult:
             f"max_cycles must be <= {MAX_ROW_BYTES // g.num_edges - 1} at side {g.n},"
             f" got {max_cycles}"
         )
-    # Grown in place, so the rows are never held twice.
-    kept = bytearray()
     if max_cycles is None:
-        # Every search state is visited anyway, so each is expanded once.
+        # Every search state is visited anyway, so each is expanded once, and
+        # the signatures are summed from the masks' bytes: no rows are built.
+        masks = []
         for r in range(g.num_vertices):
-            kept += _kernels.mask_rows(_kernels.cycle_masks(g, r), g.num_edges).data
+            masks += _kernels.cycle_masks(g, r)
+        words = np.array(masks, dtype="<u8")
+        del masks  # the int masks are freed before the keys are made
+        signatures = _kernels.mask_signatures(words, g.mask_signature_table)
         partial = False
+
+        def pair_rows(i: int, j: int) -> np.ndarray:
+            return _kernels.mask_rows(words[[i, j]], g.num_edges)
+
     else:
+        # Grown in place, so the rows are never held twice.
+        kept = bytearray()
         stream = _rows(g)
         for row in islice(stream, max_cycles):
             kept += row
         partial = next(stream, None) is not None
         del stream  # ends a cut walk, so its search states are freed before packing
-    rows = np.frombuffer(kept, bool).reshape(-1, g.num_edges)
-    words = _kernels.signature_words(rows, g.face_edges_idx)
-    multiplicities: dict[bytes, int] = {}
-    first_row: dict[bytes, int] = {}
-    # (signature, first row, second row) of each repeated signature.
-    repeats: list[tuple[bytes, int, int]] = []
-    pair_cap_hit = False
-    # A void view gives every packed row as one bytes key in one call; unlike
-    # an "S" view it keeps trailing zero bytes.
-    for r, key in enumerate(words.view(f"V{words.shape[1]}").ravel().tolist()):
-        seen = multiplicities.get(key, 0)
-        multiplicities[key] = seen + 1
-        if seen == 0:
-            first_row[key] = r
-        elif seen == 1:
-            if len(repeats) < PAIR_CAP:
-                repeats.append((key, first_row[key], r))
-            else:
-                pair_cap_hit = True
-    repeats.sort()
+        rows = np.frombuffer(kept, bool).reshape(-1, g.num_edges)
+        signatures = _kernels.signature_words(rows, g.face_edges_idx)
+
+        def pair_rows(i: int, j: int) -> np.ndarray:
+            return rows[[i, j]]
+
+    multiplicities, repeats, pair_cap_hit = _group(signatures)
     return CensusResult(
         n=g.n,
-        total_cycles=rows.shape[0],
+        total_cycles=signatures.shape[0],
         multiplicities=multiplicities,
         pairs=[
-            (validate_cycle(g, EdgeSet(g, rows[i])), validate_cycle(g, EdgeSet(g, rows[j])))
-            for _, i, j in repeats
+            (validate_cycle(g, EdgeSet(g, a)), validate_cycle(g, EdgeSet(g, b)))
+            for a, b in (pair_rows(i, j) for _, i, j in repeats)
         ],
         partial=partial,
         pair_cap_hit=pair_cap_hit,
     )
+
+
+def _group(
+    signatures: np.ndarray,
+) -> tuple[dict[bytes, int], list[tuple[bytes, int, int]], bool]:
+    """Group packed signature rows by key.
+
+    Gives the multiplicities in first-seen order; (signature, first row,
+    second row) of the first ``PAIR_CAP`` repeated signatures met, sorted
+    by signature; and whether a further repeat was met.
+    """
+    # A void view gives every packed row as one bytes key in one call; unlike
+    # an "S" view it keeps trailing zero bytes.
+    keys = signatures.view(f"V{signatures.shape[1]}").ravel().tolist()
+    # Counter counts in one C loop. dict.copy clones its table into a plain
+    # dict, where dict() would insert every key again.
+    multiplicities = dict.copy(Counter(keys))
+    if len(multiplicities) == len(keys):
+        return multiplicities, [], False
+    # Only the rows of repeated keys are gathered, to find their first two.
+    repeated = {key for key, m in multiplicities.items() if m > 1}
+    rows_of: dict[bytes, list[int]] = {}
+    for r, key in enumerate(keys):
+        if key in repeated:
+            rows_of.setdefault(key, []).append(r)
+    # (second row, first row, signature), in the order the repeats are met.
+    met = sorted((rows[1], rows[0], key) for key, rows in rows_of.items())
+    repeats = sorted((key, i, j) for j, i, key in met[:PAIR_CAP])
+    return multiplicities, repeats, len(met) > PAIR_CAP
 
 
 # -- pair verification ---------------------------------------------------------

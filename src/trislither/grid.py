@@ -264,6 +264,30 @@ class TriGrid:
         return order
 
     @cached_property
+    def mask_signature_table(self) -> np.ndarray:
+        """The packed signature of each byte of an int edge mask (bit e for
+        edge e), as a ``(mask bytes, 256, ceil(2F/8))`` uint8 array. Entry
+        ``[b, v]`` holds, two bits per face as ``_kernels.signature_words``
+        packs them, the face counts of the edges 8b .. 8b+7 set in byte
+        value v. A face count is at most 3, so the fields never carry, and
+        a mask's signature is the bytewise sum of its bytes' entries. Only
+        a grid whose masks fit 64 bits (side 6 or below) has a table."""
+        mask_bytes = -(-self.num_edges // 8)
+        if mask_bytes > 8:
+            raise InvalidParameterError(
+                f"edge masks past 64 bits have no signature table, got side {self.n}"
+            )
+        f = np.arange(self.num_faces)
+        # Each edge's own signature: 1 in the field of each face it lies in.
+        unit = np.zeros((8 * mask_bytes, -(-f.size // 4)), dtype=np.uint8)
+        fields = (1 << 2 * (f % 4)).astype(np.uint8)[:, None]
+        np.add.at(unit, (self.face_edges_idx, (f // 4)[:, None]), fields)
+        bits = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(np.uint8)
+        table = bits @ unit.reshape(mask_bytes, 8, -1)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
     def vertex_bit(self) -> np.ndarray:
         """Bit y*(n+2) + x-1 of each vertex (x, y) in a row-padded vertex
         bitmask. Each row ends in a bit that is no vertex, so the six

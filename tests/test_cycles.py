@@ -278,6 +278,26 @@ def test_pair_cap_keeps_the_earliest_repeats(monkeypatch, g5, repeats5, cap, hit
     assert r.pair_cap_hit is hit
 
 
+@pytest.mark.parametrize("cap", [8, 3])
+def test_whole_census_packs_no_rows(monkeypatch, g5, repeats5, cap):
+    """A whole census sums its signatures from the masks' bytes; only the
+    two cycles of a pair are ever unpacked into rows."""
+    rows_of = _kernels.mask_rows
+
+    def pair_rows(masks, num_edges):
+        if len(masks) > 2:
+            pytest.fail(f"unpacked {len(masks)} masks into rows")
+        return rows_of(masks, num_edges)
+
+    monkeypatch.setattr(_kernels, "signature_words", lambda *args: pytest.fail("packed rows"))
+    monkeypatch.setattr(_kernels, "mask_rows", pair_rows)
+    monkeypatch.setattr(cycles, "PAIR_CAP", cap)
+    r = census(g5)
+    masks = [(edge_mask(a.edge_set), edge_mask(b.edge_set)) for _, a, b in sorted(repeats5[:cap])]
+    assert [(edge_mask(a.edge_set), edge_mask(b.edge_set)) for a, b in r.pairs] == masks
+    assert (r.total_cycles, r.distinct_signatures, r.pair_cap_hit) == (128967, 128959, cap < 8)
+
+
 def test_census_budget_bound_is_checked_before_the_walk(monkeypatch):
     """A budget whose cycle rows would pass MAX_ROW_BYTES is refused before
     any DFS; one cycle past the budget is held to tell a fit from a cut."""

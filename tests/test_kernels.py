@@ -8,7 +8,7 @@ import pytest
 
 from conftest import deadline
 from oracles import reference_alive_walk, reference_cycles_from_root
-from trislither import build_grid, census, enumerate_cycles
+from trislither import InvalidParameterError, build_grid, census, enumerate_cycles
 from trislither import _kernels
 
 
@@ -203,6 +203,56 @@ def test_signature_words_take_zero_rows():
     assert words.shape == (0, (2 * g.num_faces + 7) // 8)
     r = census(g, max_cycles=0)
     assert r.partial and r.total_cycles == 0 and r.multiplicities == {}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_mask_signatures_match_the_rows_at_every_root(n):
+    """Summing the byte table over a mask gives the bytes that packing its
+    row gives."""
+    g = build_grid(n)
+    for root in range(g.num_vertices):
+        masks = _kernels.cycle_masks(g, root)
+        got = _kernels.mask_signatures(np.array(masks, dtype="<u8"), g.mask_signature_table)
+        rows = _kernels.mask_rows(masks, g.num_edges)
+        assert np.array_equal(got, _kernels.signature_words(rows, g.face_edges_idx)), root
+
+
+def test_mask_signatures_match_the_rows_at_side_6(g6):
+    """Side 6 is the largest side whose 63-edge masks fit 64 bits."""
+    walked = b"".join(islice(_all_roots(_kernels.walk_cycles, g6), 5000))
+    rows = np.frombuffer(walked, bool).reshape(-1, g6.num_edges)
+    # 63 edge bits pack into one 8-byte word per row.
+    words = np.packbits(rows, axis=1, bitorder="little").view("<u8").ravel()
+    got = _kernels.mask_signatures(words, g6.mask_signature_table)
+    assert got.shape == (5000, 9)
+    assert np.array_equal(got, _kernels.signature_words(rows, g6.face_edges_idx))
+
+
+def test_mask_signature_table_is_read_only_and_stops_at_64_bits():
+    g = build_grid(6)
+    table = g.mask_signature_table
+    assert table.shape == (8, 256, 9) and table.dtype == np.uint8
+    assert g.mask_signature_table is table
+    with pytest.raises(ValueError):
+        table[0, 1, 0] = 0
+    with deadline(5):
+        with pytest.raises(InvalidParameterError, match="^edge masks past 64 bits"):
+            build_grid(7).mask_signature_table
+
+
+def test_whole_census_traces_under_24_mb(g5):
+    """A whole side-5 census holds its masks, one signature array and its
+    keys, but no cycle rows (with rows and a per-cycle dict count it
+    traced 27.8 MiB)."""
+    g5.nbr_steps, g5.vertex_mask, g5.mask_signature_table  # built before tracing
+    tracemalloc.start()
+    try:
+        r = census(g5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.total_cycles == 128967
+    assert peak < 24 * 2**20
 
 
 def test_budgeted_census_stops_enumerating_at_budget(monkeypatch, g5):
