@@ -150,7 +150,7 @@ def totally_even_violation(g: TriGrid, a: EdgeSet) -> str | None:
     kind, i = odd
     if kind == "vertex":
         v = Vertex(*g.vertex_xy[i].tolist())
-        return f"vertex {v} has odd incidence ({a.bits[g.nbr_edge[i, : g.deg[i]]].sum()})"
+        return f"vertex {v} has odd incidence ({_vertex_degrees(g, a.bits)[i]})"
     x, y, up = (int(c) for c in _face_layout(g.n, i))
     count = a.bits[g.face_edges_idx[i]].sum()
     return f"face {Face(Vertex(x, y), bool(up))} contains {count} edges"

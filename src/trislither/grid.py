@@ -49,6 +49,10 @@ _DELTAS = {Dir.E: (1, 0), Dir.NE: (0, 1), Dir.NW: (-1, 1)}
 # Direction by |3*dy + dx|: the steps E, NW and NE and their reverses give
 # +-1, +-2 and +-3, and no other step with |dx|, |dy| <= 1 gives those.
 _DIR_OF_CODE = np.array([-1, Dir.E, Dir.NW, Dir.NE, -1])
+# How each symmetry maps an edge of direction E, NE, NW: whether the image
+# edge is based at the image of the tip (else of the base), and its direction.
+_REFLECT_RULE = (np.array([True, False, False]), np.array([Dir.E, Dir.NW, Dir.NE]))
+_ROTATE_RULE = (np.array([True, True, False]), np.array([Dir.NE, Dir.NW, Dir.E]))
 
 
 class Side(Enum):
@@ -149,12 +153,17 @@ class TriGrid:
 
     The int64 index arrays are the storage, computed by index arithmetic
     on vertex coordinates, and every query is answered in edge, vertex or
-    face indices. ``vertices`` and ``edges`` are tuples of objects built
-    from them on first use. Instances are immutable after construction and
-    safe to share between threads; every operation on them is a pure
-    function. Every array a grid holds, including those its cached
-    properties build, is read-only: ``build_grid`` hands one grid to every
-    caller of its side, so a write would change it for all of them.
+    face indices. A grid builds its vertex, edge and face arrays, the edge
+    slot table and both symmetry maps at once. The tables that only some
+    callers read are built on first use: the neighbour table (``nbr``,
+    ``nbr_edge``, ``deg``), ``sweep_order``, the census tables
+    (``vertex_bit``, ``vertex_mask``, ``nbr_steps``,
+    ``mask_signature_table``) and the object tuples ``vertices`` and
+    ``edges``. Instances are immutable after construction and safe to
+    share between threads; every operation on them is a pure function.
+    Every array a grid holds, including those its cached properties build,
+    is read-only: ``build_grid`` hands one grid to every caller of its
+    side, so a write would change it for all of them.
     """
 
     def __init__(self, n: int):
@@ -167,49 +176,46 @@ class TriGrid:
         # Edge slot 3*vertex + direction. E and NE leave every vertex but the
         # last of its row; NW leaves every vertex but the first.
         last = x == n + 2 - y
-        present = np.stack([~last, ~last, x >= 2], axis=1).ravel()
-        self.edge_slot = np.full(present.size, -1, dtype=np.int64)
-        self.edge_slot[present] = np.arange(np.count_nonzero(present))
-        slots = np.flatnonzero(present)
-        self.u_of_edge, self.edge_dir = slots // 3, slots % 3
-        self.edge_base_x = ux = x[self.u_of_edge]
-        self.edge_base_y = uy = y[self.u_of_edge]
-        dx, dy = np.array([_DELTAS[d] for d in Dir]).T[:, self.edge_dir]
-        vx, vy = ux + dx, uy + dy
-        self.v_of_edge = _vertex_id(n, vx, vy)
+        slots = np.flatnonzero(np.stack([~last, ~last, x >= 2], axis=1))
+        self.edge_slot = np.full(3 * y.size, -1, dtype=np.int64)
+        self.edge_slot[slots] = np.arange(slots.size)
+        self.u_of_edge, self.edge_dir = u, d = np.divmod(slots, 3)
+        self.edge_base_x = ux = x[u]
+        self.edge_base_y = uy = y[u]
+        # The row above a vertex starts n+2-y vertices on: NE steps that far
+        # and NW one less.
+        self.v_of_edge = v = u + np.where(d == Dir.E, 1, n + 3 - uy - d)
 
-        def slot(v, d):
-            return self.edge_slot[3 * v + d]
-
-        fx, fy, up = _face_layout(n, np.arange(n * n))
-        a = _vertex_id(n, fx, fy)
-        right, above = a + 1, _vertex_id(n, fx, fy + 1)
-        self.face_edges_idx = np.where(
-            up[:, None],
-            np.stack([slot(a, Dir.E), slot(a, Dir.NE), slot(right, Dir.NW)], axis=1),
-            np.stack([slot(right, Dir.NW), slot(right, Dir.NE), slot(above, Dir.E)], axis=1),
-        )
-        self.edge_face_count = np.bincount(self.face_edges_idx.ravel(), minlength=slots.size)
+        # Up face k, anchored at the base of the k-th E edge, holds that edge,
+        # the NE edge after it and the k-th NW edge. Row y holds n+1-y up
+        # faces with a down face between each two, so up face k is face
+        # 2k - (y-1), and the down face after it holds its NW edge, the NE
+        # edge of up face k+1 and the E edge of up face k+n+1-y above it.
+        east = np.flatnonzero(d == Dir.E)
+        up = np.stack([east, east + 1, np.flatnonzero(d == Dir.NW)], axis=1)
+        ey = uy[east]
+        at = 2 * np.arange(east.size) - ey + 1
+        k = np.flatnonzero(~last[u[east] + 1])  # the up faces a down face follows
+        self.face_edges_idx = fe = np.empty((n * n, 3), dtype=np.int64)
+        fe[at] = up
+        fe[at[k] + 1] = np.stack([up[k, 2], up[k + 1, 1], up[k + n + 1 - ey[k], 0]], axis=1)
+        self.edge_face_count = np.bincount(fe.ravel(), minlength=slots.size)
         self.boundary_edge_mask = self.edge_face_count == 1
 
-        # Both ends of every edge; each vertex lists its neighbours in vertex order.
-        ends = np.concatenate([self.u_of_edge, self.v_of_edge])
-        others = np.concatenate([self.v_of_edge, self.u_of_edge])
-        by_nbr = np.lexsort((others, ends))
-        self.deg = np.bincount(ends, minlength=y.size)
-        rows = ends[by_nbr]
-        cols = np.arange(ends.size) - (np.cumsum(self.deg) - self.deg)[rows]
-        self.nbr = np.full((y.size, self.deg.max()), -1, dtype=np.int64)
-        self.nbr_edge = np.full_like(self.nbr, -1)
-        self.nbr[rows, cols] = others[by_nbr]
-        self.nbr_edge[rows, cols] = by_nbr % slots.size
-
-        self.reflect_eperm = self.edge_ids(*_reflect(n, ux, uy), *_reflect(n, vx, vy))
-        self.rotate_eperm = self.edge_ids(*_rotate(n, ux, uy), *_rotate(n, vx, vy))
+        # An edge of direction d maps to the edge based at the image of its base
+        # or of its tip, in a direction fixed by d: one slot gather per map.
+        for name, vertex_map, (from_tip, to_dir) in (
+            ("reflect_eperm", _reflect, _REFLECT_RULE),
+            ("rotate_eperm", _rotate, _ROTATE_RULE),
+        ):
+            image = _vertex_id(n, *vertex_map(n, x, y))
+            start = image[np.where(from_tip[d], v, u)]
+            setattr(self, name, self.edge_slot[3 * start + to_dir[d]])
         # Edges crossed by the vertical symmetry axis: horizontal edges
         # whose endpoints are swapped by the reflection, i.e. 2x + y = n + 2.
-        self.middle_edge_idx = np.flatnonzero((self.edge_dir == Dir.E) & (2 * ux + uy == n + 2))
-        self.bottom_edge_idx = self.side_edge_indices(Side.BOTTOM)
+        self.middle_edge_idx = east[2 * ux[east] + ey == n + 2]
+        # The E edges of the bottom row come first.
+        self.bottom_edge_idx = east[:n]
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -262,6 +268,44 @@ class TriGrid:
         order = np.concatenate([fe[n * n - k * k :: 2][:k].T.ravel() for k in range(n, 0, -1)])
         order.setflags(write=False)
         return order
+
+    # -- the neighbour table, built on first use -----------------------------
+
+    @cached_property
+    def nbr(self) -> np.ndarray:
+        """The neighbours of each vertex in vertex order, one row per vertex
+        padded with -1 to the largest degree."""
+        return self._neighbour_table("nbr")
+
+    @cached_property
+    def nbr_edge(self) -> np.ndarray:
+        """The edge to each neighbour in ``nbr``, padded with -1 alike."""
+        return self._neighbour_table("nbr_edge")
+
+    @cached_property
+    def deg(self) -> np.ndarray:
+        """The degree of each vertex."""
+        return self._neighbour_table("deg")
+
+    def _neighbour_table(self, name: str) -> np.ndarray:
+        # One sort fills all three arrays. Each is stored under its own name
+        # unless a racing thread stored its own first, so that every caller
+        # sees the same arrays.
+        u, v = self.u_of_edge, self.v_of_edge
+        ends, others = np.concatenate([u, v]), np.concatenate([v, u])
+        by_nbr = np.lexsort((others, ends))
+        deg = np.bincount(ends, minlength=self.num_vertices)
+        rows = ends[by_nbr]
+        cols = np.arange(ends.size) - (np.cumsum(deg) - deg)[rows]
+        nbr = np.full((deg.size, deg.max()), -1, dtype=np.int64)
+        nbr_edge = np.full_like(nbr, -1)
+        nbr[rows, cols] = others[by_nbr]
+        nbr_edge[rows, cols] = by_nbr % u.size
+        table = vars(self)
+        for key, a in (("nbr", nbr), ("nbr_edge", nbr_edge), ("deg", deg)):
+            a.setflags(write=False)
+            table.setdefault(key, a)
+        return table[name]
 
     @cached_property
     def mask_signature_table(self) -> np.ndarray:

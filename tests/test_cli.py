@@ -8,6 +8,7 @@ import pytest
 import trislither
 from trislither import EdgeSet, basis_subset, build_grid
 from trislither import cli
+from trislither import grid as grid_module
 from trislither.cli import main
 from trislither.fileio import MAX_SIDE, read_edge_set, write_cycle, write_edge_set
 
@@ -70,6 +71,18 @@ def test_verify_single_edge(tmp_path, capsys, g5):
     assert "totally-even: no" in out
     assert "vertex (1,1) has odd incidence" in out
 
+
+
+def test_verify_odd_vertex_reason(tmp_path, capsys):
+    path = tmp_path / "a.edges"
+    # (2,2) is the first vertex that meets the set oddly, in three edges.
+    path.write_text("n 4\nedge 2 2 3 2\nedge 2 2 1 3\nedge 2 2 2 3\n")
+    grid_module._last_grid.cache_clear()
+    code, out, _ = run(capsys, "verify", "--in", str(path))
+    assert code == 1
+    assert out == "n: 4\nedges: 3\ntotally-even: no\nreason: vertex (2,2) has odd incidence (3)\n"
+    # The reason is counted without the neighbour table.
+    assert "nbr_edge" not in vars(build_grid(4))
 
 def test_verify_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.edges"

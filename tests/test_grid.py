@@ -299,6 +299,34 @@ def test_concurrent_builds_are_correct():
         _assert_same_grid(g, fresh)
 
 
+def test_concurrent_first_reads_share_one_neighbour_table():
+    names = ("nbr", "nbr_edge", "deg")
+    for _ in range(20):
+        g = TriGrid(48)
+        seen = [None] * 6
+        barrier = threading.Barrier(len(seen))
+
+        def read(k):
+            barrier.wait(timeout=30)
+            seen[k] = [getattr(g, names[(k + j) % 3]) for j in range(3)]
+
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(len(seen))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        # Every reader got the arrays the grid keeps, whichever thread built them.
+        for k, arrays in enumerate(seen):
+            for j, a in enumerate(arrays):
+                assert a is vars(g)[names[(k + j) % 3]]
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_grid_arrays_are_read_only(n):
     """A grid is shared, so a write would change the next caller's grid."""
@@ -328,6 +356,41 @@ def test_sweep_order_layout(n):
     assert g.sweep_order is g.sweep_order and g.sweep_order.dtype == np.int64
     assert g.sweep_order.tolist() == want
     assert sorted(want) == list(range(g.num_edges))
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 48])
+def test_neighbour_table_built_on_first_use(n):
+    names = ("nbr", "nbr_edge", "deg")
+    ref = reference_layout(n)
+    for first in names:
+        g = TriGrid(n)
+        assert not set(names) & vars(g).keys()  # built on first use, not by every grid
+        getattr(g, first)
+        # One sort fills all three, each under its own name.
+        assert set(names) <= vars(g).keys()
+        for name in names:
+            a = getattr(g, name)
+            assert a is getattr(g, name) and a is vars(g)[name]
+            assert a.dtype == np.int64 and a.tolist() == ref[name], name
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = a
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 48, 256])
+def test_symmetry_maps_match_the_edge_lookup(n):
+    """The closed-form maps agree with looking up the edge that joins the
+    images of both ends, and are built with the grid."""
+    g = TriGrid(n)
+    assert {"reflect_eperm", "rotate_eperm"} <= vars(g).keys()
+    ux, uy = g.edge_base_x, g.edge_base_y
+    vx, vy = g.vertex_xy[g.v_of_edge].T
+    for perm, vertex_map in (
+        (g.reflect_eperm, grid_module._reflect),
+        (g.rotate_eperm, grid_module._rotate),
+    ):
+        want = g.edge_ids(*vertex_map(n, ux, uy), *vertex_map(n, vx, vy))
+        assert perm.dtype == np.int64 and np.array_equal(perm, want)
+        assert not perm.flags.writeable
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 48])
