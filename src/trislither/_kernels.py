@@ -218,14 +218,6 @@ def cycle_masks(g, root):
     return cycles
 
 
-def mask_rows(masks, num_edges):
-    """Edge masks as ``num_edges``-byte rows holding 1 at their edges, one
-    row per mask. Each mask must fit in 64 bits, as every edge set of a
-    grid up to side 6 does."""
-    words = np.array(masks, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    return np.unpackbits(words, axis=1, count=num_edges, bitorder="little")
-
-
 def mask_signatures(words, table):
     """Packed signatures of edge masks given as a uint64 array, the same
     bytes as ``signature_words`` gives for their rows.

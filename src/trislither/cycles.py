@@ -18,7 +18,9 @@ from .errors import InvalidInputError, InvalidParameterError, NotACycleError, Re
 from .evenalg import (
     EdgeSet,
     _check_basis_index,
+    _check_grid,
     _check_int,
+    _int_bits,
     _vertex_degrees,
     decompose,
     is_totally_even,
@@ -62,8 +64,7 @@ class Signature:
 
 def cycle_defect(g: TriGrid, a: EdgeSet) -> str | None:
     """None if ``a`` is a single simple cycle, else the reason it is not."""
-    if a.grid.n != g.n:
-        raise InvalidInputError("edge set does not belong to this grid")
+    _check_grid(g, a)
     if not a:
         return "empty"
     deg = _vertex_degrees(g, a.bits)
@@ -89,8 +90,7 @@ def validate_cycle(g: TriGrid, a: EdgeSet) -> Cycle:
 
 def signature(g: TriGrid, c: Cycle) -> Signature:
     """Count, for each finite face, how many of its edges the cycle uses."""
-    if c.grid.n != g.n:
-        raise InvalidInputError("edge set does not belong to this grid")
+    _check_grid(g, c.edge_set)
     return Signature(tuple(c.edge_set.bits[g.face_edges_idx].sum(axis=1).tolist()))
 
 
@@ -192,8 +192,8 @@ def census(g: TriGrid, max_cycles: int | None = None) -> CensusResult:
         signatures = _kernels.mask_signatures(words, g.mask_signature_table)
         partial = False
 
-        def pair_rows(i: int, j: int) -> np.ndarray:
-            return _kernels.mask_rows(words[[i, j]], g.num_edges)
+        def pair_rows(i: int, j: int) -> list[np.ndarray]:
+            return [_int_bits(int(words[k]), g.num_edges) for k in (i, j)]
 
     else:
         # Grown in place, so the rows are never held twice.
@@ -235,9 +235,9 @@ def _group(
     # A void view gives every packed row as one bytes key in one call; unlike
     # an "S" view it keeps trailing zero bytes.
     keys = signatures.view(f"V{signatures.shape[1]}").ravel().tolist()
-    # Counter counts in one C loop. dict.copy clones its table into a plain
-    # dict, where dict() would insert every key again.
-    multiplicities = dict.copy(Counter(keys))
+    # Counter counts in one C loop and is itself the multiplicity dict, in
+    # first-seen order: a copy would hold a second table at the census's peak.
+    multiplicities = Counter(keys)
     if len(multiplicities) == len(keys):
         return multiplicities, [], False
     # Only the rows of repeated keys are gathered, to find their first two.
@@ -344,6 +344,8 @@ def zigzag_edges(g: TriGrid, i: int) -> EdgeSet:
 
 def shared_side_edges(g: TriGrid, c1: Cycle, c2: Cycle) -> dict[Side, list[Edge]]:
     """Edges of each side used by both cycles."""
+    _check_grid(g, c1.edge_set)
+    _check_grid(g, c2.edge_set)
     both = (c1.edge_set & c2.edge_set).bits
     return {s: [g.edges[i] for i in g.side_edge_indices(s) if both[i]] for s in Side}
 

@@ -159,8 +159,7 @@ def totally_even_violation(g: TriGrid, a: EdgeSet) -> str | None:
 def _first_odd(g: TriGrid, a: EdgeSet) -> tuple[str, int] | None:
     """("vertex", index) of the first vertex that meets ``a`` oddly, else
     ("face", index) of the first finite face that does, else None."""
-    if a.grid.n != g.n:
-        raise InvalidInputError("edge set does not belong to this grid")
+    _check_grid(g, a)
     odd = np.flatnonzero(_vertex_degrees(g, a.bits) % 2)
     if odd.size:
         return "vertex", int(odd[0])
@@ -169,6 +168,12 @@ def _first_odd(g: TriGrid, a: EdgeSet) -> tuple[str, int] | None:
     if bad.size:
         return "face", int(bad[0])
     return None
+
+
+def _check_grid(g: TriGrid, a: EdgeSet) -> None:
+    """Raise unless ``a`` is an edge set of ``g``."""
+    if a.grid.n != g.n:
+        raise InvalidInputError("edge set does not belong to this grid")
 
 
 def _vertex_degrees(g: TriGrid, bits: np.ndarray) -> np.ndarray:
@@ -421,6 +426,7 @@ def propagate_from_bottom(g: TriGrid, pattern) -> EdgeSet | None:
 
 def bottom_pattern(g: TriGrid, a: EdgeSet) -> np.ndarray:
     """The bottom-side bit pattern of an edge set, left to right."""
+    _check_grid(g, a)
     return a.bits[g.bottom_edge_idx].copy()
 
 
@@ -479,6 +485,7 @@ def check_symmetries(g: TriGrid, a: EdgeSet) -> SymmetryReport:
 
     All three hold for every totally even subset.
     """
+    _check_grid(g, a)
     return SymmetryReport(
         mirror_invariant=np.array_equal(permute_bits(a.bits, g.reflect_eperm), a.bits),
         rotation_invariant=np.array_equal(permute_bits(a.bits, g.rotate_eperm), a.bits),

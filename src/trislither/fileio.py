@@ -54,7 +54,7 @@ from .evenalg import EdgeSet
 from .grid import TriGrid, build_grid
 
 # Largest grid side a file may declare. A side-256 grid takes 11-15 ms
-# and a 15 MB peak to build, its neighbour table 4 MB more on first use,
+# and a 15 MB peak to build, its neighbour table 1.6 MB more on first use,
 # and every later step scales with the square of the side, so a larger
 # side is refused before the build.
 MAX_SIDE = 256

@@ -53,6 +53,8 @@ _DIR_OF_CODE = np.array([-1, Dir.E, Dir.NW, Dir.NE, -1])
 # edge is based at the image of the tip (else of the base), and its direction.
 _REFLECT_RULE = (np.array([True, False, False]), np.array([Dir.E, Dir.NW, Dir.NE]))
 _ROTATE_RULE = (np.array([True, True, False]), np.array([Dir.NE, Dir.NW, Dir.E]))
+# The direction of the edge to each neighbour column of ``TriGrid.nbr_edge``.
+_NBR_DIRS = np.array([Dir.NE, Dir.NW, Dir.E, Dir.E, Dir.NW, Dir.NE])
 
 
 class Side(Enum):
@@ -155,15 +157,15 @@ class TriGrid:
     on vertex coordinates, and every query is answered in edge, vertex or
     face indices. A grid builds its vertex, edge and face arrays, the edge
     slot table and both symmetry maps at once. The tables that only some
-    callers read are built on first use: the neighbour table (``nbr``,
-    ``nbr_edge``, ``deg``), ``sweep_order``, the census tables
-    (``vertex_bit``, ``vertex_mask``, ``nbr_steps``,
-    ``mask_signature_table``) and the object tuples ``vertices`` and
-    ``edges``. Instances are immutable after construction and safe to
-    share between threads; every operation on them is a pure function.
-    Every array a grid holds, including those its cached properties build,
-    is read-only: ``build_grid`` hands one grid to every caller of its
-    side, so a write would change it for all of them.
+    callers read are built on first use: the neighbour table ``nbr_edge``
+    (six edge slots a vertex, read from ``edge_slot`` without a sort),
+    ``sweep_order``, the census tables (``vertex_bit``, ``vertex_mask``,
+    ``nbr_steps``, ``mask_signature_table``) and the object tuples
+    ``vertices`` and ``edges``. Instances are immutable after construction
+    and safe to share between threads; every operation on them is a pure
+    function. Every array a grid holds, including those its cached
+    properties build, is read-only: ``build_grid`` hands one grid to every
+    caller of its side, so a write would change it for all of them.
     """
 
     def __init__(self, n: int):
@@ -269,43 +271,23 @@ class TriGrid:
         order.setflags(write=False)
         return order
 
-    # -- the neighbour table, built on first use -----------------------------
-
-    @cached_property
-    def nbr(self) -> np.ndarray:
-        """The neighbours of each vertex in vertex order, one row per vertex
-        padded with -1 to the largest degree."""
-        return self._neighbour_table("nbr")
-
     @cached_property
     def nbr_edge(self) -> np.ndarray:
-        """The edge to each neighbour in ``nbr``, padded with -1 alike."""
-        return self._neighbour_table("nbr_edge")
-
-    @cached_property
-    def deg(self) -> np.ndarray:
-        """The degree of each vertex."""
-        return self._neighbour_table("deg")
-
-    def _neighbour_table(self, name: str) -> np.ndarray:
-        # One sort fills all three arrays. Each is stored under its own name
-        # unless a racing thread stored its own first, so that every caller
-        # sees the same arrays.
-        u, v = self.u_of_edge, self.v_of_edge
-        ends, others = np.concatenate([u, v]), np.concatenate([v, u])
-        by_nbr = np.lexsort((others, ends))
-        deg = np.bincount(ends, minlength=self.num_vertices)
-        rows = ends[by_nbr]
-        cols = np.arange(ends.size) - (np.cumsum(deg) - deg)[rows]
-        nbr = np.full((deg.size, deg.max()), -1, dtype=np.int64)
-        nbr_edge = np.full_like(nbr, -1)
-        nbr[rows, cols] = others[by_nbr]
-        nbr_edge[rows, cols] = by_nbr % u.size
-        table = vars(self)
-        for key, a in (("nbr", nbr), ("nbr_edge", nbr_edge), ("deg", deg)):
-            a.setflags(write=False)
-            table.setdefault(key, a)
-        return table[name]
+        """The edge to each neighbour of each vertex (x, y), one row per
+        vertex. Its six columns are the neighbour positions in rising vertex
+        index: (x, y-1), (x+1, y-1) and (x-1, y) through their NE, NW and E
+        edges, then the vertex's own E, NW and NE edges. A neighbour off the
+        grid reads -1."""
+        n, v = self.n, np.arange(self.num_vertices)
+        y = self.vertex_xy[:, 1]
+        # The row below starts n+3-y vertices back. A base before vertex 0
+        # (below the bottom row, or left of (1, 1)) reads the -1 padding.
+        pad = 3 * (n + 2)
+        slot = np.concatenate([np.full(pad, -1), self.edge_slot])
+        base = np.stack([v - (n + 3 - y), v - (n + 2 - y), v - 1, v, v, v], axis=1)
+        table = slot[pad + 3 * base + _NBR_DIRS]
+        table.setflags(write=False)
+        return table
 
     @cached_property
     def mask_signature_table(self) -> np.ndarray:
@@ -353,11 +335,13 @@ class TriGrid:
     @cached_property
     def nbr_steps(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """(neighbour, edge, neighbour's ``vertex_bit``) for each vertex, in
-        neighbour order."""
+        rising neighbour index."""
+        # A neighbour is the other end of its edge; -1 edges are skipped.
+        other = (self.u_of_edge + self.v_of_edge).tolist()
         bit = self.vertex_bit.tolist()
         return tuple(
-            tuple((w, e, bit[w]) for w, e in zip(ws[:d], es[:d]))
-            for ws, es, d in zip(self.nbr.tolist(), self.nbr_edge.tolist(), self.deg.tolist())
+            tuple((w, e, bit[w]) for e in es if e >= 0 for w in (other[e] - v,))
+            for v, es in enumerate(self.nbr_edge.tolist())
         )
 
     # -- lookups -----------------------------------------------------------

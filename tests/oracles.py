@@ -39,13 +39,23 @@ def edge_mask(edge_set) -> int:
     return int(sum(1 << int(i) for i in np.flatnonzero(edge_set.bits)))
 
 
+def reference_neighbours(g: TriGrid) -> list[list[tuple[int, int]]]:
+    """(neighbour, edge) of each vertex, sorted by neighbour, from the edge
+    ends ``u_of_edge`` and ``v_of_edge`` alone."""
+    incident = [[] for _ in range(g.num_vertices)]
+    for e, (u, v) in enumerate(zip(g.u_of_edge.tolist(), g.v_of_edge.tolist())):
+        incident[u].append((v, e))
+        incident[v].append((u, e))
+    return [sorted(inc) for inc in incident]
+
+
 def all_even_subset_masks(g: TriGrid) -> set[int]:
     """Every subset meeting each vertex and finite face evenly."""
     n_edges = g.num_edges
     assert n_edges <= 20, "oracle is exponential in the edge count"
     masks = np.arange(1 << n_edges, dtype=np.int64)
     ok = np.ones(masks.shape, dtype=bool)
-    constraints = [g.nbr_edge[vi, : g.deg[vi]].tolist() for vi in range(g.num_vertices)]
+    constraints = [[e for _, e in inc] for inc in reference_neighbours(g)]
     constraints += [list(map(int, triple)) for triple in g.face_edges_idx]
     for edges in constraints:
         par = np.zeros(masks.shape, dtype=np.int8)
@@ -58,10 +68,10 @@ def all_even_subset_masks(g: TriGrid) -> set[int]:
 def _reference_constraint_rows(g: TriGrid) -> list[int]:
     """Vertex-parity and face-parity rows, one int bitset per constraint."""
     rows = []
-    for vi in range(g.num_vertices):
+    for inc in reference_neighbours(g):
         row = 0
-        for ei in g.nbr_edge[vi, : g.deg[vi]]:
-            row |= 1 << int(ei)
+        for _, ei in inc:
+            row |= 1 << ei
         rows.append(row)
     for triple in g.face_edges_idx:
         row = 0
@@ -177,12 +187,8 @@ def reference_layout(n: int) -> dict:
     for triple in face_edges:
         for e in triple:
             count[e] += 1
-    incident = [[] for _ in verts]
-    for k, (u, v) in enumerate(ends):
-        incident[u].append((v, k))
-        incident[v].append((u, k))
-    width = max(len(inc) for inc in incident)
-    pad = [[-1] * (width - len(inc)) for inc in incident]
+    # The six neighbour positions of (x, y) in rising vertex index.
+    around = ((0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1))
 
     def reflect(x, y):
         return (n + 3 - x - y, y)
@@ -202,9 +208,10 @@ def reference_layout(n: int) -> dict:
         "face_edges_idx": face_edges,
         "edge_face_count": count,
         "boundary_edge_mask": [c == 1 for c in count],
-        "nbr": [[w for w, _ in sorted(inc)] + p for inc, p in zip(incident, pad)],
-        "nbr_edge": [[k for _, k in sorted(inc)] + p for inc, p in zip(incident, pad)],
-        "deg": [len(inc) for inc in incident],
+        "nbr_edge": [
+            [edge((x, y), (x + dx, y + dy)) if (x + dx, y + dy) in vid else -1 for dx, dy in around]
+            for x, y in verts
+        ],
         "bottom_edge_idx": [edge((i, 1), (i + 1, 1)) for i in range(1, n + 1)],
         "reflect_eperm": image(reflect),
         "rotate_eperm": image(rotate),
@@ -415,11 +422,8 @@ def reference_cycles_from_root(g, root, limit):
 
     A ``limit`` >= 1 stops after that many cycles; -1 means no limit.
     """
-    nbr, nbr_edge, deg, n_edges = g.nbr, g.nbr_edge, g.deg, g.num_edges
-    steps = [
-        [(w, e) for w, e in zip(ws[:d], es[:d]) if w >= root]
-        for ws, es, d in zip(nbr.tolist(), nbr_edge.tolist(), deg.tolist())
-    ]
+    n_edges = g.num_edges
+    steps = [[(w, e) for w, e in inc if w >= root] for inc in reference_neighbours(g)]
     out = np.zeros((256, n_edges), dtype=bool)
     count = 0
     on_path = [False] * len(steps)

@@ -18,8 +18,10 @@ from trislither import (
     Vertex,
     alternation_check,
     basis_subset,
+    bottom_pattern,
     build_grid,
     census,
+    check_symmetries,
     cycle_defect,
     enumerate_cycles,
     is_totally_even,
@@ -124,6 +126,27 @@ def test_signature_checks_the_grid(g2, g5):
         verify_pair(build_grid(4), *t5_pair(g5))
     with pytest.raises(InvalidInputError, match="^edge set does not belong to this grid$"):
         cycle_defect(g2, c5.edge_set)
+
+
+@pytest.mark.parametrize("side", [4, 6])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda g, c1, c2: is_totally_even(g, c1.edge_set ^ c2.edge_set),
+        lambda g, c1, c2: cycle_defect(g, c1.edge_set),
+        lambda g, c1, c2: signature(g, c1),
+        lambda g, c1, c2: bottom_pattern(g, c1.edge_set),
+        lambda g, c1, c2: check_symmetries(g, c1.edge_set),
+        lambda g, c1, c2: shared_side_edges(g, c1, c2),
+    ],
+    ids=["totally_even", "cycle_defect", "signature", "bottom_pattern", "check_symmetries",
+         "shared_side_edges"],
+)
+def test_edge_sets_from_another_grid_are_refused(g5, side, check):
+    """Each entry point that reads an edge set by this grid's indices first
+    checks that the set lives on this grid."""
+    with pytest.raises(InvalidInputError, match="^edge set does not belong to this grid$"):
+        check(build_grid(side), *t5_pair(g5))
 
 
 def test_signature_total_counts_incidences(g5):
@@ -281,18 +304,19 @@ def test_pair_cap_keeps_the_earliest_repeats(monkeypatch, g5, repeats5, cap, hit
 @pytest.mark.parametrize("cap", [8, 3])
 def test_whole_census_packs_no_rows(monkeypatch, g5, repeats5, cap):
     """A whole census sums its signatures from the masks' bytes; only the
-    two cycles of a pair are ever unpacked into rows."""
-    rows_of = _kernels.mask_rows
+    two cycles of a pair are ever unpacked into bits."""
+    unpacked = []
+    int_bits = cycles._int_bits
 
-    def pair_rows(masks, num_edges):
-        if len(masks) > 2:
-            pytest.fail(f"unpacked {len(masks)} masks into rows")
-        return rows_of(masks, num_edges)
+    def counting(value, n_bits):
+        unpacked.append(value)
+        return int_bits(value, n_bits)
 
     monkeypatch.setattr(_kernels, "signature_words", lambda *args: pytest.fail("packed rows"))
-    monkeypatch.setattr(_kernels, "mask_rows", pair_rows)
+    monkeypatch.setattr(cycles, "_int_bits", counting)
     monkeypatch.setattr(cycles, "PAIR_CAP", cap)
     r = census(g5)
+    assert len(unpacked) == 2 * len(r.pairs)
     masks = [(edge_mask(a.edge_set), edge_mask(b.edge_set)) for _, a, b in sorted(repeats5[:cap])]
     assert [(edge_mask(a.edge_set), edge_mask(b.edge_set)) for a, b in r.pairs] == masks
     assert (r.total_cycles, r.distinct_signatures, r.pair_cap_hit) == (128967, 128959, cap < 8)

@@ -64,7 +64,7 @@ def _faces(n):
 def test_incidence_consistency(n):
     g = build_grid(n)
     ends = list(zip(g.u_of_edge.tolist(), g.v_of_edge.tolist()))
-    incident = [set(g.nbr_edge[v, : g.deg[v]].tolist()) for v in range(g.num_vertices)]
+    incident = [set(row) - {-1} for row in g.nbr_edge.tolist()]
     for v, es in enumerate(incident):
         for e in es:
             assert v in ends[e]
@@ -87,14 +87,15 @@ def test_incidence_consistency(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20])
 def test_degree_distribution(n):
     g = build_grid(n)
-    assert int(g.deg.sum()) == 2 * g.num_edges
+    deg = (g.nbr_edge >= 0).sum(axis=1)
+    assert int(deg.sum()) == 2 * g.num_edges
     corners = {Vertex(1, 1), Vertex(n + 1, 1), Vertex(1, n + 1)}
     boundary_vertices = set()
     for s in Side:
         for e in g.side_edge_indices(s):
             boundary_vertices.update(g.edges[e].endpoints)
     for v in g.vertices:
-        d = g.deg[g.vertex_index(v)]
+        d = deg[g.vertex_index(v)]
         if v in corners:
             assert d == 2
         elif v in boundary_vertices:
@@ -167,7 +168,7 @@ def test_rotate_order_three(n):
     assert np.array_equal(perm[perm[perm]], np.arange(g.num_edges))
     # The corners cycle (1,1) -> (1,n+1) -> (n+1,1), and so do their two edges.
     corners = [Vertex(1, 1), Vertex(1, n + 1), Vertex(n + 1, 1)]
-    corner_edges = [set(g.nbr_edge[g.vertex_index(v), :2].tolist()) for v in corners]
+    corner_edges = [set(g.nbr_edge[g.vertex_index(v)].tolist()) - {-1} for v in corners]
     for a, b in zip(corner_edges, corner_edges[1:] + corner_edges[:1]):
         assert set(perm[list(a)].tolist()) == b
 
@@ -299,34 +300,6 @@ def test_concurrent_builds_are_correct():
         _assert_same_grid(g, fresh)
 
 
-def test_concurrent_first_reads_share_one_neighbour_table():
-    names = ("nbr", "nbr_edge", "deg")
-    for _ in range(20):
-        g = TriGrid(48)
-        seen = [None] * 6
-        barrier = threading.Barrier(len(seen))
-
-        def read(k):
-            barrier.wait(timeout=30)
-            seen[k] = [getattr(g, names[(k + j) % 3]) for j in range(3)]
-
-        threads = [threading.Thread(target=read, args=(k,)) for k in range(len(seen))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        # Every reader got the arrays the grid keeps, whichever thread built them.
-        for k, arrays in enumerate(seen):
-            for j, a in enumerate(arrays):
-                assert a is vars(g)[names[(k + j) % 3]]
-
-
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_grid_arrays_are_read_only(n):
     """A grid is shared, so a write would change the next caller's grid."""
@@ -360,20 +333,32 @@ def test_sweep_order_layout(n):
 
 @pytest.mark.parametrize("n", [*range(1, 13), 48])
 def test_neighbour_table_built_on_first_use(n):
-    names = ("nbr", "nbr_edge", "deg")
+    g = TriGrid(n)
+    assert "nbr_edge" not in vars(g)  # built on first use, not by every grid
+    a = g.nbr_edge
+    assert a is g.nbr_edge and a is vars(g)["nbr_edge"]
+    assert a.dtype == np.int64 and a.tolist() == reference_layout(n)["nbr_edge"]
+    with pytest.raises(ValueError, match="read-only"):
+        a[...] = a
+    # One table, read by every caller: no neighbour or degree arrays beside it.
+    assert not hasattr(g, "nbr") and not hasattr(g, "deg")
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 40])
+def test_nbr_steps_follow_rising_neighbour_index(n):
+    """The walk branches to a vertex's neighbours in rising vertex index, as
+    the reference layout's edge ends give them."""
     ref = reference_layout(n)
-    for first in names:
-        g = TriGrid(n)
-        assert not set(names) & vars(g).keys()  # built on first use, not by every grid
-        getattr(g, first)
-        # One sort fills all three, each under its own name.
-        assert set(names) <= vars(g).keys()
-        for name in names:
-            a = getattr(g, name)
-            assert a is getattr(g, name) and a is vars(g)[name]
-            assert a.dtype == np.int64 and a.tolist() == ref[name], name
-            with pytest.raises(ValueError, match="read-only"):
-                a[...] = a
+    xy = ref["vertex_xy"]
+    incident = [[] for _ in xy]
+    for k, (u, v) in enumerate(zip(ref["u_of_edge"], ref["v_of_edge"])):
+        incident[u].append((v, k))
+        incident[v].append((u, k))
+    want = tuple(
+        tuple((w, k, xy[w][1] * (n + 2) + xy[w][0] - 1) for w, k in sorted(inc))
+        for inc in incident
+    )
+    assert TriGrid(n).nbr_steps == want
 
 
 @pytest.mark.parametrize("n", [*range(1, 13), 48, 256])

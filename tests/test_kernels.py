@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import deadline
-from oracles import reference_alive_walk, reference_cycles_from_root
+from oracles import reference_alive_walk, reference_cycles_from_root, reference_neighbours
 from trislither import InvalidParameterError, build_grid, census, enumerate_cycles
 from trislither import _kernels
+from trislither.evenalg import _int_bits
 
 
 @pytest.mark.parametrize(
@@ -68,7 +69,7 @@ def test_cycle_masks_match_the_walks(n):
     with deadline(30):
         for root in range(g.num_vertices):
             masks = _kernels.cycle_masks(g, root)
-            got = [row.tobytes() for row in _kernels.mask_rows(masks, g.num_edges)]
+            got = [_int_bits(m, g.num_edges).tobytes() for m in masks]
             assert got == list(_kernels.walk_cycles(g, root)), root
             assert got == list(reference_alive_walk(g, root)), root
 
@@ -92,15 +93,16 @@ def _bit(g, v):
     return y * (g.n + 2) + x - 1
 
 
-def _components(g, vertices):
-    """Connected components of the subgraph of ``g`` induced by ``vertices``."""
+def _components(nbrs, vertices):
+    """Connected components of the subgraph induced by ``vertices`` of the
+    graph whose neighbour lists are ``nbrs``."""
     left, count = set(vertices), 0
     while left:
         count += 1
         stack = [left.pop()]
         while stack:
             v = stack.pop()
-            for w in g.nbr[v, : g.deg[v]].tolist():
+            for w in nbrs[v]:
                 if w in left:
                     left.remove(w)
                     stack.append(w)
@@ -112,18 +114,19 @@ def test_ring_splits_exactly_when_the_neighbours_fall_apart(n):
     """A vertex is a local cut iff the chosen neighbours, as a subgraph of the
     grid, have two or more components; the ring code holds just those."""
     g = build_grid(n)
-    for v in range(g.num_vertices):
-        nbrs = g.nbr[v, : g.deg[v]].tolist()
+    every = [[w for w, _ in inc] for inc in reference_neighbours(g)]
+    for v, nbrs in enumerate(every):
         for pick in range(1 << len(nbrs)):
             chosen = [w for k, w in enumerate(nbrs) if pick >> k & 1]
             mask = sum(1 << _bit(g, w) for w in chosen)
             code = _kernels._ring(mask | 1 << _bit(g, v), _bit(g, v), n + 2)
             assert bin(code).count("1") == len(chosen)
-            assert _kernels._SPLITS[code] == (_components(g, chosen) >= 2), (v, chosen)
+            assert _kernels._SPLITS[code] == (_components(every, chosen) >= 2), (v, chosen)
 
 
 def test_flood_matches_search():
     g = build_grid(4)
+    nbrs = [[w for w, _ in inc] for inc in reference_neighbours(g)]
     rng = np.random.default_rng(5)
     for _ in range(300):
         inside = set(np.flatnonzero(rng.random(g.num_vertices) < 0.6).tolist())
@@ -133,7 +136,7 @@ def test_flood_matches_search():
             v = stack.pop()
             if v not in reach:
                 reach.add(v)
-                stack.extend(w for w in g.nbr[v, : g.deg[v]].tolist() if w in inside)
+                stack.extend(w for w in nbrs[v] if w in inside)
         within = sum(1 << _bit(g, v) for v in inside)
         got = _kernels._flood(sum(1 << _bit(g, v) for v in seeds), within, g.n + 1)
         assert got == sum(1 << _bit(g, v) for v in reach)
@@ -213,7 +216,7 @@ def test_mask_signatures_match_the_rows_at_every_root(n):
     for root in range(g.num_vertices):
         masks = _kernels.cycle_masks(g, root)
         got = _kernels.mask_signatures(np.array(masks, dtype="<u8"), g.mask_signature_table)
-        rows = _kernels.mask_rows(masks, g.num_edges)
+        rows = np.array([_int_bits(m, g.num_edges) for m in masks], bool).reshape(-1, g.num_edges)
         assert np.array_equal(got, _kernels.signature_words(rows, g.face_edges_idx)), root
 
 
@@ -240,10 +243,10 @@ def test_mask_signature_table_is_read_only_and_stops_at_64_bits():
             build_grid(7).mask_signature_table
 
 
-def test_whole_census_traces_under_24_mb(g5):
-    """A whole side-5 census holds its masks, one signature array and its
-    keys, but no cycle rows (with rows and a per-cycle dict count it
-    traced 27.8 MiB)."""
+def test_whole_census_traces_under_17_mb(g5):
+    """A whole side-5 census holds its masks, one signature array, its keys
+    and one multiplicity dict, but no cycle rows (with rows and a per-cycle
+    dict count it traced 27.8 MiB, with a copy of the dict 17.9 MiB)."""
     g5.nbr_steps, g5.vertex_mask, g5.mask_signature_table  # built before tracing
     tracemalloc.start()
     try:
@@ -252,7 +255,7 @@ def test_whole_census_traces_under_24_mb(g5):
     finally:
         tracemalloc.stop()
     assert r.total_cycles == 128967
-    assert peak < 24 * 2**20
+    assert peak < 17 * 2**20
 
 
 def test_budgeted_census_stops_enumerating_at_budget(monkeypatch, g5):

@@ -12,6 +12,8 @@ from trislither import (
     recompose,
 )
 
+from oracles import reference_neighbours
+
 _GRIDS = {}
 
 
@@ -59,8 +61,8 @@ def test_totally_even_matches_direct_definition(mask):
     bits = np.array([(mask >> e) & 1 for e in range(g.num_edges)], dtype=bool)
     a = EdgeSet(g, bits)
     by_definition = True
-    for vi in range(g.num_vertices):
-        if sum(bits[int(e)] for e in g.nbr_edge[vi, : g.deg[vi]]) % 2:
+    for inc in reference_neighbours(g):
+        if sum(bits[e] for _, e in inc) % 2:
             by_definition = False
     for triple in g.face_edges_idx:
         if sum(bits[int(e)] for e in triple) % 2:
