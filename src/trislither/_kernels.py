@@ -166,15 +166,13 @@ def cycle_masks(g, root):
 
     Built bottom-up over the walk's search states, one first step at a
     time, so a state reached by many paths is expanded once, not walked
-    below once per path. A first pass finds the states below the first
-    step, each after its children, and counts the steps into each. A
-    second pass gives each state its list: its closing edge (if any), then,
-    for each alive step in index order, the child's list with that step's
-    edge added; a child's list is dropped after its last use. A closing
-    mask holds the first edge too, so every mask is a whole cycle. The
-    first pass recurses once per path vertex, and the lists hold every
-    cycle of the root, so this is for grids small enough to list every
-    cycle of; ``walk_cycles`` holds only its path.
+    below once per path. ``visit`` gives a state's list: its closing mask
+    (if any), then, for each alive step in index order, the child's list
+    with that step's edge added. Root is below every alive vertex, so its
+    step, and with it the closing mask, comes first. A closing mask holds
+    the first edge too, so every mask is a whole cycle. Each list is kept
+    for the first step, keyed by the state, so this is for grids small
+    enough to list every cycle of; ``walk_cycles`` holds only its path.
     """
     s2 = g.n + 2
     free = _above(g, root)
@@ -184,37 +182,22 @@ def cycle_masks(g, root):
         if first < root:
             continue
         targets = sum(1 << p for w, _, p in steps[root] if w > first)
-        # (closing mask or 0, [(step mask, child)]) per state, children
-        # first; a state is its index here.
-        states, uses, index = [], [], {}
+        memo = {}
 
         def visit(w, alive):
-            i = index.get((w, alive))
-            if i is None:
-                close, arcs = 0, []
+            masks = memo.get((w, alive))
+            if masks is None:
+                masks = []
                 for x, e, p in steps[w]:
                     if x == root:
                         if w > first:
-                            close = 1 << first_edge | 1 << e
+                            masks.append(1 << first_edge | 1 << e)
                     elif alive >> p & 1:
-                        arcs.append((1 << e, visit(x, _enter(alive, p, targets, s2))))
-                i = index[w, alive] = len(states)
-                states.append((close, arcs))
-                uses.append(0)
-            uses[i] += 1
-            return i
+                        masks += map((1 << e).__or__, visit(x, _enter(alive, p, targets, s2)))
+                memo[w, alive] = masks
+            return masks
 
-        visit(first, _flood(targets, free ^ 1 << q, s2 - 1))
-        lists = []
-        for close, arcs in states:
-            masks = [close] if close else []
-            for bit, c in arcs:
-                masks += map(bit.__or__, lists[c])
-                uses[c] -= 1
-                if not uses[c]:
-                    lists[c] = None
-            lists.append(masks)
-        cycles += lists[-1]
+        cycles += visit(first, _flood(targets, free ^ 1 << q, s2 - 1))
     return cycles
 
 

@@ -75,6 +75,13 @@ def _cmd_census(args) -> int:
         raise InvalidParameterError(
             f"a census past --n {MAX_WHOLE_CENSUS_SIDE} needs --max-cycles, got --n {args.n}"
         )
+    # --out is made only if there are pairs, after the census; a file where it
+    # or a parent of it would be is refused now, before any output.
+    head = args.out
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise InvalidParameterError(f"--out {args.out}: {head} is not a directory")
     g = _grid(args.n)
     result = census(g, max_cycles=args.max_cycles)
     print(f"n: {g.n}")

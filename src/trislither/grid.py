@@ -30,6 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._kernels import signature_words
 from .errors import InvalidEdgeError, InvalidInputError, InvalidParameterError
 
 
@@ -145,6 +146,16 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _clipped_ints(values, hi) -> np.ndarray:
+    """``values``, integers of any size, clipped to 0 .. hi as int64."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        for v in values.ravel().tolist():
+            if not _is_int(v):
+                raise InvalidEdgeError(f"vertex coordinates must be integers, got {v!r}")
+    return np.asarray(np.clip(values, 0, hi), np.int64)
+
+
 def _check_side(n) -> None:
     if not _is_int(n) or n < 1:
         raise InvalidParameterError(f"grid side must be an integer >= 1, got {n!r}")
@@ -224,7 +235,8 @@ class TriGrid:
 
     def edge_ids(self, ax, ay, bx, by) -> np.ndarray:
         """Index of the edge joining vertices (ax, ay) and (bx, by), elementwise over
-        integers of any size; -1 where the two are not adjacent vertices of this grid."""
+        integers of any size; -1 where the two are not adjacent vertices of this grid.
+        A coordinate that is not an integer (a bool, a float) raises InvalidEdgeError."""
         # Integers other than int64 are clipped to 0 .. n+3, which keeps them
         # off the grid if they were; where int64 arithmetic wraps, both ends are.
         # A plain int is clipped by min and max, much faster than np.clip.
@@ -232,7 +244,7 @@ class TriGrid:
         ax, ay, bx, by = (
             v if getattr(v, "dtype", None) == np.int64
             else np.int64(min(max(v, 0), hi)) if type(v) is int
-            else np.asarray(np.clip(v, 0, hi), np.int64)
+            else _clipped_ints(v, hi)
             for v in (ax, ay, bx, by)
         )
         dx, dy = bx - ax, by - ay
@@ -303,13 +315,10 @@ class TriGrid:
             raise InvalidParameterError(
                 f"edge masks past 64 bits have no signature table, got side {self.n}"
             )
-        f = np.arange(self.num_faces)
-        # Each edge's own signature: 1 in the field of each face it lies in.
-        unit = np.zeros((8 * mask_bytes, -(-f.size // 4)), dtype=np.uint8)
-        fields = (1 << 2 * (f % 4)).astype(np.uint8)[:, None]
-        np.add.at(unit, (self.face_edges_idx, (f // 4)[:, None]), fields)
-        bits = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(np.uint8)
-        table = bits @ unit.reshape(mask_bytes, 8, -1)
+        # Row 256*b + v sets edges 8b .. 8b+7 to the bits of v.
+        bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+        rows = np.kron(np.eye(mask_bytes, dtype=np.uint8), bits)[:, : self.num_edges]
+        table = signature_words(rows, self.face_edges_idx).reshape(mask_bytes, 256, -1)
         table.setflags(write=False)
         return table
 
@@ -363,7 +372,7 @@ class TriGrid:
         return (1 <= y) & (y <= self.n + 1) & (1 <= x) & (x <= self.n + 2 - y)
 
     def vertex_index(self, v: Vertex) -> int:
-        if not self.has_vertex(v.x, v.y):
+        if not (_is_int(v.x) and _is_int(v.y) and self.has_vertex(v.x, v.y)):
             raise InvalidInputError(f"vertex {v} is not in the side-{self.n} grid")
         return _vertex_id(self.n, v.x, v.y)
 
@@ -376,7 +385,7 @@ class TriGrid:
 
     def face_index(self, f: Face) -> int:
         n, x, y, down = self.n, f.anchor.x, f.anchor.y, not f.up
-        if not (1 <= y <= n and 1 <= x <= n + 1 - y - down):
+        if not (_is_int(x) and _is_int(y) and 1 <= y <= n and 1 <= x <= n + 1 - y - down):
             raise InvalidInputError(f"face {f} is not in the side-{n} grid")
         return (y - 1) * (2 * n + 1 - y) + 2 * (x - 1) + down
 

@@ -233,6 +233,22 @@ def test_census_pair_dump(tmp_path, capsys):
     assert dumped[0] == "pair000_a.cycle"
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/pairs"])
+def test_census_out_under_a_file_is_refused_before_the_census(monkeypatch, tmp_path, capsys, out):
+    (tmp_path / "taken").write_text("")
+    monkeypatch.setattr(cli, "census", lambda *args, **kw: pytest.fail("the census ran"))
+    code, stdout, err = run(capsys, "census", "--n", "5", "--out", str(tmp_path / out))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: --out {tmp_path / out}: {tmp_path / 'taken'} is not a directory\n"
+    assert (tmp_path / "taken").read_text() == ""
+
+
+def test_census_out_is_made_only_for_pairs(tmp_path, capsys):
+    code, out, _ = run(capsys, "census", "--n", "2", "--out", str(tmp_path / "a" / "b"))
+    assert code == 0 and "pairs: 0" in out
+    assert not (tmp_path / "a").exists()
+
+
 def test_transversal_reference_subset(tmp_path, capsys, g5):
     path = tmp_path / "a.edges"
     write_edge_set(path, basis_subset(g5, 2))

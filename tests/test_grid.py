@@ -8,6 +8,7 @@ import pytest
 from trislither import (
     Dir,
     Edge,
+    EdgeSet,
     Face,
     InvalidEdgeError,
     InvalidInputError,
@@ -413,6 +414,32 @@ def test_edge_between_accepts_either_order(g5):
     assert e == g5.edge_between((2, 3), (3, 2))
     assert e.dir == Dir.NW
     assert e == Edge(Vertex(3, 2), Dir.NW)
+
+
+@pytest.mark.parametrize("c", [1.5, 1.0, np.float64(1.0), True, np.bool_(True)])
+@pytest.mark.parametrize(
+    "error,lookup",
+    [
+        (InvalidEdgeError, lambda g, c: g.edge_between((c, 1), (2, 1))),
+        (InvalidEdgeError, lambda g, c: g.edge_between(Vertex(2, 1), Vertex(c, 1))),
+        (InvalidEdgeError, lambda g, c: EdgeSet.from_pairs(g, [((1, 1), (2, 1)), ((c, 1), (2, 1))])),
+        (InvalidEdgeError, lambda g, c: g.edge_index(Edge(Vertex(c, 1), Dir.E))),
+        (InvalidEdgeError, lambda g, c: g.edge_ids(np.array([c]), 1, 2, 1).tolist()),
+        (InvalidInputError, lambda g, c: g.vertex_index(Vertex(c, 1))),
+        (InvalidInputError, lambda g, c: g.face_index(Face(Vertex(c, 1), True))),
+    ],
+)
+def test_coordinates_that_are_not_integers_are_refused(g5, c, error, lookup):
+    """A float or bool coordinate is refused, not truncated to the integer
+    below it or read as 0 or 1; integers of any numpy kind are taken."""
+    with pytest.raises(error):
+        lookup(g5, c)
+    assert lookup(g5, np.int8(1)) == lookup(g5, np.uint64(1)) == lookup(g5, 1)
+
+
+def test_a_string_coordinate_is_an_edge_error(g5):
+    with pytest.raises(InvalidEdgeError, match="^vertex coordinates must be integers, got '1'$"):
+        EdgeSet.from_pairs(g5, [(("1", 1), (2, 1))])
 
 
 # An overflow warning would reach a user's stderr.

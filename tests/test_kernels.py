@@ -1,4 +1,3 @@
-import sys
 import time
 import tracemalloc
 from itertools import chain, islice
@@ -72,19 +71,6 @@ def test_cycle_masks_match_the_walks(n):
             got = [_int_bits(m, g.num_edges).tobytes() for m in masks]
             assert got == list(_kernels.walk_cycles(g, root)), root
             assert got == list(reference_alive_walk(g, root)), root
-
-
-def test_cycle_masks_drop_each_list_after_its_last_use(g5):
-    """Listing a root holds little more than its masks; keeping every
-    search state's list held about four times that."""
-    g5.nbr_steps, g5.vertex_mask  # built before tracing
-    tracemalloc.start()
-    try:
-        masks = _kernels.cycle_masks(g5, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * (sys.getsizeof(masks) + sum(map(sys.getsizeof, masks)))
 
 
 def _bit(g, v):
