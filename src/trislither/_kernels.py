@@ -1,10 +1,14 @@
 """Hot inner loops of the census: the simple-cycle walk, which yields one
 edge row per cycle; the bottom-up listing, which gives a root's cycles as
-int edge masks; and signature packing. A budgeted census packs its walked
-rows (``signature_words``); a whole census builds no rows and sums each
-mask's signature from a byte table (``mask_signatures``)."""
+a uint64 array of edge masks, each search state's list held as one int in
+64-bit lanes; and signature packing. A budgeted census packs its walked
+rows (``signature_words``); a whole census builds no rows and no int per
+cycle, and sums each mask's signature from a byte table
+(``mask_signatures``)."""
 
 import numpy as np
+
+from .errors import InvalidParameterError
 
 # There is one kernel path, plain numpy. perfbench/run.py reads this name to
 # label the path in its results.
@@ -160,9 +164,13 @@ def walk_cycles(g, root):
                 on_path[frames.pop()[2]] = 0
 
 
+# Bit 0 of one lane, as its eight little-endian bytes.
+_LANE_ONE = (1).to_bytes(8, "little")
+
+
 def cycle_masks(g, root):
-    """The cycles of ``walk_cycles(g, root)``, in the same order, as one
-    list of int edge masks (bit e for edge e).
+    """The cycles of ``walk_cycles(g, root)``, in the same order, as a
+    read-only ``<u8`` array of edge masks (bit e for edge e).
 
     Built bottom-up over the walk's search states, one first step at a
     time, so a state reached by many paths is expanded once, not walked
@@ -170,35 +178,55 @@ def cycle_masks(g, root):
     (if any), then, for each alive step in index order, the child's list
     with that step's edge added. Root is below every alive vertex, so its
     step, and with it the closing mask, comes first. A closing mask holds
-    the first edge too, so every mask is a whole cycle. Each list is kept
-    for the first step, keyed by the state, so this is for grids small
-    enough to list every cycle of; ``walk_cycles`` holds only its path.
+    the first edge too, so every mask is a whole cycle.
+
+    A list is one int holding mask i in bits 64i .. 64i+63, a *lane*
+    (broadword arithmetic, Knuth, TAOCP 4A 7.1.3). A child's k masks take
+    the step's edge in every lane by one OR with ``ones(k) << e``, where
+    ``ones(k)`` sets bit 0 of each of k lanes, and one shift puts them
+    after the lists before them. No mask is 0, so a list holds
+    ``ceil(bit_length / 64)`` masks and no count is kept. The root's list
+    becomes the array through its little-endian bytes, with no int per
+    mask. Each list is kept for the first step, keyed by the state, so
+    this is for grids small enough to list every cycle of, and whose
+    masks fit 64 bits (side 6 or below); ``walk_cycles`` holds only its
+    path.
     """
+    if g.num_edges > 64:
+        raise InvalidParameterError(f"edge masks past 64 bits fit no lane, got side {g.n}")
     s2 = g.n + 2
     free = _above(g, root)
     steps = g.nbr_steps
-    cycles = []
+    cycles = 0
     for first, first_edge, q in steps[root]:
         if first < root:
             continue
         targets = sum(1 << p for w, _, p in steps[root] if w > first)
-        memo = {}
+        # ones[span] sets bit 0 of each lane of a list ``span`` bits wide;
+        # like the memo, it is kept for one first step.
+        memo, ones = {}, {}
 
         def visit(w, alive):
-            masks = memo.get((w, alive))
-            if masks is None:
-                masks = []
+            lanes = memo.get((w, alive))
+            if lanes is None:
+                lanes = 0
                 for x, e, p in steps[w]:
                     if x == root:
                         if w > first:
-                            masks.append(1 << first_edge | 1 << e)
+                            lanes = 1 << first_edge | 1 << e
                     elif alive >> p & 1:
-                        masks += map((1 << e).__or__, visit(x, _enter(alive, p, targets, s2)))
-                memo[w, alive] = masks
-            return masks
+                        child = visit(x, _enter(alive, p, targets, s2))
+                        # A list is as wide as its lanes up to the top one.
+                        span = child.bit_length() + 63 & -64
+                        if span not in ones:
+                            ones[span] = int.from_bytes(_LANE_ONE * (span // 64), "little")
+                        lanes |= (child | ones[span] << e) << (lanes.bit_length() + 63 & -64)
+                memo[w, alive] = lanes
+            return lanes
 
-        cycles += visit(first, _flood(targets, free ^ 1 << q, s2 - 1))
-    return cycles
+        lanes = visit(first, _flood(targets, free ^ 1 << q, s2 - 1))
+        cycles |= lanes << (cycles.bit_length() + 63 & -64)
+    return np.frombuffer(cycles.to_bytes((cycles.bit_length() + 63 & -64) // 8, "little"), "<u8")
 
 
 def mask_signatures(words, table):

@@ -135,9 +135,10 @@ REWIRE_ROUNDS = 9
 # before the walk. A whole census holds no rows.
 MAX_ROW_BYTES = 2**27
 
-# A whole census keeps every cycle as an int edge mask, a packed signature and
-# its bytes key, about 145 bytes a cycle at side 5 (tracemalloc). Side 6 has
-# 16.8 million cycles, so a census past this side needs a budget.
+# A whole census keeps every cycle as a uint64 edge mask, a packed signature
+# and its bytes key, and peaks at about 124 bytes a cycle at side 5
+# (tracemalloc). Side 6 has 16.8 million cycles, so a census past this side
+# needs a budget.
 MAX_WHOLE_CENSUS_SIDE = 5
 
 
@@ -184,11 +185,7 @@ def census(g: TriGrid, max_cycles: int | None = None) -> CensusResult:
     if max_cycles is None:
         # Every search state is visited anyway, so each is expanded once, and
         # the signatures are summed from the masks' bytes: no rows are built.
-        masks = []
-        for r in range(g.num_vertices):
-            masks += _kernels.cycle_masks(g, r)
-        words = np.array(masks, dtype="<u8")
-        del masks  # the int masks are freed before the keys are made
+        words = np.concatenate([_kernels.cycle_masks(g, r) for r in range(g.num_vertices)])
         signatures = _kernels.mask_signatures(words, g.mask_signature_table)
         partial = False
 

@@ -54,8 +54,6 @@ _DIR_OF_CODE = np.array([-1, Dir.E, Dir.NW, Dir.NE, -1])
 # edge is based at the image of the tip (else of the base), and its direction.
 _REFLECT_RULE = (np.array([True, False, False]), np.array([Dir.E, Dir.NW, Dir.NE]))
 _ROTATE_RULE = (np.array([True, True, False]), np.array([Dir.NE, Dir.NW, Dir.E]))
-# The direction of the edge to each neighbour column of ``TriGrid.nbr_edge``.
-_NBR_DIRS = np.array([Dir.NE, Dir.NW, Dir.E, Dir.E, Dir.NW, Dir.NE])
 
 
 class Side(Enum):
@@ -151,9 +149,13 @@ def _clipped_ints(values, hi) -> np.ndarray:
     values = np.asarray(values)
     if values.dtype.kind not in "iu":
         for v in values.ravel().tolist():
-            if not _is_int(v):
-                raise InvalidEdgeError(f"vertex coordinates must be integers, got {v!r}")
+            _check_coordinate(v)
     return np.asarray(np.clip(values, 0, hi), np.int64)
+
+
+def _check_coordinate(v) -> None:
+    if not _is_int(v):
+        raise InvalidEdgeError(f"vertex coordinates must be integers, got {v!r}")
 
 
 def _check_side(n) -> None:
@@ -290,14 +292,21 @@ class TriGrid:
         index: (x, y-1), (x+1, y-1) and (x-1, y) through their NE, NW and E
         edges, then the vertex's own E, NW and NE edges. A neighbour off the
         grid reads -1."""
-        n, v = self.n, np.arange(self.num_vertices)
-        y = self.vertex_xy[:, 1]
-        # The row below starts n+3-y vertices back. A base before vertex 0
-        # (below the bottom row, or left of (1, 1)) reads the -1 padding.
-        pad = 3 * (n + 2)
-        slot = np.concatenate([np.full(pad, -1), self.edge_slot])
-        base = np.stack([v - (n + 3 - y), v - (n + 2 - y), v - 1, v, v, v], axis=1)
-        table = slot[pad + 3 * base + _NBR_DIRS]
+        n, nv = self.n, self.num_vertices
+        # Edge slots by vertex and direction; a missing edge reads -1.
+        slots = self.edge_slot.reshape(nv, 3)
+        # Filled one column at a time, so no temporary is as large as it.
+        table = np.full((nv, 6), -1, dtype=np.int64)
+        # Every vertex above the bottom row (its first n+1 vertices) has both
+        # neighbours below; the row below starts n+3-y vertices back.
+        v = np.arange(n + 1, nv)
+        below = v - (n + 2 - self.vertex_xy[n + 1 :, 1])  # (x+1, y-1)
+        table[n + 1 :, 0] = slots[below - 1, Dir.NE]
+        table[n + 1 :, 1] = slots[below, Dir.NW]
+        # The vertex before (1, y) ends the row below and has no E edge.
+        table[1:, 2] = slots[:-1, Dir.E]
+        for col, d in enumerate((Dir.E, Dir.NW, Dir.NE), start=3):
+            table[:, col] = slots[:, d]
         table.setflags(write=False)
         return table
 
@@ -315,9 +324,12 @@ class TriGrid:
             raise InvalidParameterError(
                 f"edge masks past 64 bits have no signature table, got side {self.n}"
             )
-        # Row 256*b + v sets edges 8b .. 8b+7 to the bits of v.
+        # Row (b, v) sets edges 8b .. 8b+7 to the bits of v.
         bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
-        rows = np.kron(np.eye(mask_bytes, dtype=np.uint8), bits)[:, : self.num_edges]
+        rows = np.zeros((mask_bytes, 256, mask_bytes, 8), dtype=np.uint8)
+        b = np.arange(mask_bytes)
+        rows[b, :, b] = bits
+        rows = rows.reshape(256 * mask_bytes, -1)[:, : self.num_edges]
         table = signature_words(rows, self.face_edges_idx).reshape(mask_bytes, 256, -1)
         table.setflags(write=False)
         return table
@@ -377,6 +389,10 @@ class TriGrid:
         return _vertex_id(self.n, v.x, v.y)
 
     def edge_index(self, e: Edge) -> int:
+        # ``e.other`` adds to the base, and so does formatting ``e``: a
+        # coordinate that is no integer is refused before either.
+        for c in (e.base.x, e.base.y):
+            _check_coordinate(c)
         (ax, ay), (bx, by) = ((v.x, v.y) for v in e.endpoints)
         i = int(self.edge_ids(ax, ay, bx, by))
         if i < 0:

@@ -67,10 +67,33 @@ def test_cycle_masks_match_the_walks(n):
     g = build_grid(n)
     with deadline(30):
         for root in range(g.num_vertices):
-            masks = _kernels.cycle_masks(g, root)
+            masks = _kernels.cycle_masks(g, root).tolist()
             got = [_int_bits(m, g.num_edges).tobytes() for m in masks]
             assert got == list(_kernels.walk_cycles(g, root)), root
             assert got == list(reference_alive_walk(g, root)), root
+
+
+def test_cycle_masks_are_read_only_lanes_up_to_64_bits(monkeypatch):
+    """The masks come as a read-only ``<u8`` array, empty at a root with no
+    cycles; side 6 fills 63 bits of a lane, and side 7, whose masks would
+    pass 64 bits, is refused before anything is listed."""
+    g1 = build_grid(1)
+    masks = _kernels.cycle_masks(g1, 0)
+    assert masks.dtype == np.dtype("<u8") and masks.tolist() == [0b111]
+    with pytest.raises(ValueError, match="read-only"):
+        masks[0] = 0
+    empty = _kernels.cycle_masks(g1, 2)
+    assert empty.dtype == np.dtype("<u8") and empty.shape == (0,)
+    assert not empty.flags.writeable
+    g6 = build_grid(6)
+    top = _kernels.cycle_masks(g6, g6.num_vertices - 3)  # the top unit triangle
+    assert top.tolist() == [1 << 62 | 1 << 61 | 1 << 60]
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "_flood", lambda *args: pytest.fail("listed a cycle"))
+        m.setattr(_kernels, "_enter", lambda *args: pytest.fail("listed a cycle"))
+        message = "^edge masks past 64 bits fit no lane, got side 7$"
+        with pytest.raises(InvalidParameterError, match=message):
+            _kernels.cycle_masks(build_grid(7), 0)
 
 
 def _bit(g, v):
@@ -200,7 +223,7 @@ def test_mask_signatures_match_the_rows_at_every_root(n):
     row gives."""
     g = build_grid(n)
     for root in range(g.num_vertices):
-        masks = _kernels.cycle_masks(g, root)
+        masks = _kernels.cycle_masks(g, root).tolist()
         got = _kernels.mask_signatures(np.array(masks, dtype="<u8"), g.mask_signature_table)
         rows = np.array([_int_bits(m, g.num_edges) for m in masks], bool).reshape(-1, g.num_edges)
         assert np.array_equal(got, _kernels.signature_words(rows, g.face_edges_idx)), root
