@@ -116,7 +116,9 @@ def _cmd_transversal(args) -> int:
         c1 = read_cycle(args.c1)
         c2 = read_cycle(args.c2)
     t = build_transversal(g, a)
-    svg = render_svg(g, subset=a, transversal=t, unit=args.unit_px) if args.svg_out else None
+    # The figure is written before any output, so a refused path prints nothing.
+    if args.svg_out:
+        _write_svg(args.svg_out, render_svg(g, subset=a, transversal=t, unit=args.unit_px))
     d = decompose_transversals(t)
     sizes = d.node_counts
     mod4 = check_mod4(d)
@@ -134,18 +136,19 @@ def _cmd_transversal(args) -> int:
         alt = alternation_check(g, a, c1, c2)
         print(f"alternation: {'OK' if alt else 'FAIL'}")
         ok = ok and alt
-    if svg is not None:
-        with open(args.svg_out, "w", encoding="ascii") as fh:
-            fh.write(svg)
+    if args.svg_out:
         print(f"wrote: {args.svg_out}")
     return 0 if ok else 1
 
 
+def _write_svg(path: str, text: str) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
+
+
 def _cmd_svg(args) -> int:
     a = read_edge_set(args.infile)
-    text = render_svg(a.grid, subset=a, unit=args.unit_px)
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(text)
+    _write_svg(args.out, render_svg(a.grid, subset=a, unit=args.unit_px))
     print(f"wrote: {args.out}")
     return 0
 

@@ -80,6 +80,9 @@ class Edge:
 
     @property
     def other(self) -> Vertex:
+        # A coordinate that is no integer is refused before the delta is added.
+        for c in (self.base.x, self.base.y):
+            _check_coordinate(c)
         dx, dy = self.dir.delta
         return Vertex(self.base.x + dx, self.base.y + dy)
 
@@ -88,6 +91,11 @@ class Edge:
         return (self.base, self.other)
 
     def __repr__(self) -> str:
+        # An edge whose base has a coordinate that is no integer has no other
+        # end; it is named by its base and its direction.
+        x, y = self.base.x, self.base.y
+        if not (_is_int(x) and _is_int(y)):
+            return f"({x!r},{y!r})+{self.dir.name}"
         return f"{self.base}-{self.other}"
 
 
@@ -389,10 +397,6 @@ class TriGrid:
         return _vertex_id(self.n, v.x, v.y)
 
     def edge_index(self, e: Edge) -> int:
-        # ``e.other`` adds to the base, and so does formatting ``e``: a
-        # coordinate that is no integer is refused before either.
-        for c in (e.base.x, e.base.y):
-            _check_coordinate(c)
         (ax, ay), (bx, by) = ((v.x, v.y) for v in e.endpoints)
         i = int(self.edge_ids(ax, ay, bx, by))
         if i < 0:

@@ -401,6 +401,31 @@ def test_svg_rejects_bad_unit(tmp_path, capsys, g3, unit):
     assert not out_path.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_svg_refuses_a_unit_too_large_to_draw(tmp_path, capsys, g5):
+    path = tmp_path / "a.edges"
+    write_edge_set(path, basis_subset(g5, 2))
+    out_path = tmp_path / "fig.svg"
+    for argv in (["svg", "--in", str(path), "--out", str(out_path)],
+                 ["transversal", "--in", str(path), "--svg-out", str(out_path)]):
+        code, out, err = run(capsys, *argv, "--unit-px", "1e308")
+        assert code == 2
+        assert err.startswith("error:") and "too large to draw" in err
+        assert out == ""
+        assert not out_path.exists()
+
+
+def test_transversal_refuses_a_figure_path_before_reporting(tmp_path, capsys, g5):
+    path = tmp_path / "a.edges"
+    write_edge_set(path, basis_subset(g5, 2))
+    svg_path = tmp_path / "missing_dir" / "x.svg"
+    code, out, err = run(capsys, "transversal", "--in", str(path), "--svg-out", str(svg_path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+    assert not svg_path.parent.exists()
+
+
 def test_transversal_rejects_bad_unit_before_reporting(tmp_path, capsys, g5):
     path = tmp_path / "a.edges"
     write_edge_set(path, basis_subset(g5, 2))

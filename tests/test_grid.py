@@ -460,12 +460,17 @@ def test_coordinates_that_are_not_integers_are_refused(g5, c, error, lookup):
         lambda g: g.edge_index(Edge(Vertex("1", 1), Dir.E)),
         lambda g: g.edge_index(Edge(Vertex(1, "1"), Dir.NE)),
         lambda g: g.edge_between(("1", 1), (2, 1)),
+        lambda g: Edge(Vertex("1", 1), Dir.E).other,
+        lambda g: Edge(Vertex(1, "1"), Dir.NW).endpoints,
     ],
-    ids=["from_pairs", "edge_index-x", "edge_index-y", "edge_between"],
+    ids=["from_pairs", "edge_index-x", "edge_index-y", "edge_between", "other", "endpoints"],
 )
 def test_a_string_coordinate_is_an_edge_error(g5, lookup):
     with pytest.raises(InvalidEdgeError, match="^vertex coordinates must be integers, got '1'$"):
         lookup(g5)
+    # Naming such an edge, as an error message or a debugger does, never fails.
+    assert repr(Edge(Vertex("1", 1), Dir.E)) == "('1',1)+E"
+    assert repr(Edge(Vertex(1, "1"), Dir.NW)) == "(1,'1')+NW"
 
 
 # An overflow warning would reach a user's stderr.
