@@ -120,7 +120,7 @@ def _cmd_transversal(args) -> int:
     if args.svg_out:
         _write_svg(args.svg_out, render_svg(g, subset=a, transversal=t, unit=args.unit_px))
     d = decompose_transversals(t)
-    sizes = d.node_counts
+    sizes = [c.node_count for c in d]
     mod4 = check_mod4(d)
     if sizes:
         print("components: {" + ",".join(str(s) for s in sizes) + "}")

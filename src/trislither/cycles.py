@@ -1,11 +1,10 @@
-"""Simple cycles, their per-face signatures, exhaustive signature census,
-same-signature pair verification, the odd-index obstruction, and the
-side-sharing rewiring procedure.
+"""Simple cycles, their signatures (tuples of per-face edge counts), a cycle
+stream that ``islice`` cuts, exhaustive signature census, same-signature pair
+verification, the odd-index obstruction, and the side-sharing rewiring.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from collections import Counter
 from itertools import chain, islice
@@ -49,16 +48,6 @@ class Cycle:
         return f"Cycle(n={self.grid.n}, length={len(self)})"
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Per-finite-face edge counts of a cycle, in canonical face order."""
-
-    counts: tuple[int, ...]
-
-    def __getitem__(self, face_idx: int) -> int:
-        return self.counts[face_idx]
-
-
 # -- validation ---------------------------------------------------------------
 
 
@@ -88,20 +77,13 @@ def validate_cycle(g: TriGrid, a: EdgeSet) -> Cycle:
     return Cycle(a)
 
 
-def signature(g: TriGrid, c: Cycle) -> Signature:
-    """Count, for each finite face, how many of its edges the cycle uses."""
+def signature(g: TriGrid, c: Cycle) -> tuple[int, ...]:
+    """Count, for each finite face in index order, how many of its edges the cycle uses."""
     _check_grid(g, c.edge_set)
-    return Signature(tuple(c.edge_set.bits[g.face_edges_idx].sum(axis=1).tolist()))
+    return tuple(c.edge_set.bits[g.face_edges_idx].sum(axis=1).tolist())
 
 
 # -- enumeration --------------------------------------------------------------
-
-
-def _check_budget(name: str, value) -> None:
-    if value is not None:
-        _check_int(value, name)
-        if value < 0:
-            raise InvalidParameterError(f"{name} must be >= 0, got {value}")
 
 
 def _rows(g: TriGrid) -> Iterator[bytes]:
@@ -109,14 +91,13 @@ def _rows(g: TriGrid) -> Iterator[bytes]:
     return chain.from_iterable(_kernels.walk_cycles(g, r) for r in range(g.num_vertices))
 
 
-def enumerate_cycles(g: TriGrid, limit: int | None = None) -> Iterator[Cycle]:
+def enumerate_cycles(g: TriGrid) -> Iterator[Cycle]:
     """Yield every simple cycle exactly once, in deterministic order.
 
     Cycles are grouped by their lowest vertex and emitted in depth-first
-    order with index-sorted branching. ``limit`` truncates the stream.
+    order with index-sorted branching; ``itertools.islice`` cuts the stream.
     """
-    _check_budget("limit", limit)
-    for row in islice(_rows(g), None if limit is None else min(limit, sys.maxsize)):
+    for row in _rows(g):
         yield Cycle(EdgeSet(g, np.frombuffer(row, bool)))
 
 
@@ -171,7 +152,10 @@ def census(g: TriGrid, max_cycles: int | None = None) -> CensusResult:
     ``max_cycles`` budget yields a result flagged as partial; a census past
     side ``MAX_WHOLE_CENSUS_SIDE`` needs one.
     """
-    _check_budget("max_cycles", max_cycles)
+    if max_cycles is not None:
+        _check_int(max_cycles, "max_cycles")
+        if max_cycles < 0:
+            raise InvalidParameterError(f"max_cycles must be >= 0, got {max_cycles}")
     if max_cycles is None and g.n > MAX_WHOLE_CENSUS_SIDE:
         raise InvalidParameterError(
             f"a census past side {MAX_WHOLE_CENSUS_SIDE} needs max_cycles, got side {g.n}"

@@ -63,26 +63,20 @@ class EdgeSet:
             grid.edge_between(*pairs[np.argmax(ids < 0)])  # raises: the pair is no edge
         return cls(grid, np.bincount(ids, minlength=grid.num_edges) > 0)
 
-    def _check_same_grid(self, other: "EdgeSet") -> None:
-        if self.grid.n != other.grid.n:
-            raise InvalidInputError(
-                f"edge sets live on different grids (n={self.grid.n} vs n={other.grid.n})"
-            )
-
     def __xor__(self, other: "EdgeSet") -> "EdgeSet":
-        self._check_same_grid(other)
+        _check_grid(self.grid, other)
         return EdgeSet(self.grid, self.bits ^ other.bits)
 
     def __and__(self, other: "EdgeSet") -> "EdgeSet":
-        self._check_same_grid(other)
+        _check_grid(self.grid, other)
         return EdgeSet(self.grid, self.bits & other.bits)
 
     def __or__(self, other: "EdgeSet") -> "EdgeSet":
-        self._check_same_grid(other)
+        _check_grid(self.grid, other)
         return EdgeSet(self.grid, self.bits | other.bits)
 
     def difference(self, other: "EdgeSet") -> "EdgeSet":
-        self._check_same_grid(other)
+        _check_grid(self.grid, other)
         return EdgeSet(self.grid, self.bits & ~other.bits)
 
     def __len__(self) -> int:
@@ -173,7 +167,9 @@ def _first_odd(g: TriGrid, a: EdgeSet) -> tuple[str, int] | None:
 def _check_grid(g: TriGrid, a: EdgeSet) -> None:
     """Raise unless ``a`` is an edge set of ``g``."""
     if a.grid.n != g.n:
-        raise InvalidInputError("edge set does not belong to this grid")
+        raise InvalidInputError(
+            f"edge set of the side-{a.grid.n} grid used on the side-{g.n} grid"
+        )
 
 
 def _vertex_degrees(g: TriGrid, bits: np.ndarray) -> np.ndarray:

@@ -78,11 +78,16 @@ class Edge:
     base: Vertex
     dir: Dir
 
+    def __post_init__(self):
+        if not isinstance(self.base, Vertex):
+            raise InvalidEdgeError(f"an edge's base must be a Vertex, got {self.base!r}")
+        _check_coordinate(self.base.x)
+        _check_coordinate(self.base.y)
+        if not isinstance(self.dir, Dir):
+            raise InvalidEdgeError(f"an edge's direction must be a Dir, got {self.dir!r}")
+
     @property
     def other(self) -> Vertex:
-        # A coordinate that is no integer is refused before the delta is added.
-        for c in (self.base.x, self.base.y):
-            _check_coordinate(c)
         dx, dy = self.dir.delta
         return Vertex(self.base.x + dx, self.base.y + dy)
 
@@ -91,11 +96,6 @@ class Edge:
         return (self.base, self.other)
 
     def __repr__(self) -> str:
-        # An edge whose base has a coordinate that is no integer has no other
-        # end; it is named by its base and its direction.
-        x, y = self.base.x, self.base.y
-        if not (_is_int(x) and _is_int(y)):
-            return f"({x!r},{y!r})+{self.dir.name}"
         return f"{self.base}-{self.other}"
 
 
@@ -109,6 +109,14 @@ class Face:
 
     anchor: Vertex
     up: bool
+
+    def __post_init__(self):
+        a = self.anchor
+        if not (isinstance(a, Vertex) and _is_int(a.x) and _is_int(a.y)):
+            shown = f"({a.x!r},{a.y!r})" if isinstance(a, Vertex) else repr(a)
+            raise InvalidInputError(f"face anchor coordinates must be integers, got {shown}")
+        if not isinstance(self.up, bool):
+            raise InvalidInputError(f"a face's up flag must be a bool, got {self.up!r}")
 
     @property
     def corners(self) -> tuple[Vertex, Vertex, Vertex]:
@@ -397,15 +405,17 @@ class TriGrid:
         return _vertex_id(self.n, v.x, v.y)
 
     def edge_index(self, e: Edge) -> int:
-        (ax, ay), (bx, by) = ((v.x, v.y) for v in e.endpoints)
-        i = int(self.edge_ids(ax, ay, bx, by))
-        if i < 0:
+        if not isinstance(e, Edge):
+            raise InvalidEdgeError(f"expected an Edge, got {e!r}")
+        x, y = int(e.base.x), int(e.base.y)
+        slot = 3 * _vertex_id(self.n, x, y) + e.dir
+        if not (self.has_vertex(x, y) and self.edge_slot[slot] >= 0):
             raise InvalidEdgeError(f"edge {e} is not in the side-{self.n} grid")
-        return i
+        return int(self.edge_slot[slot])
 
     def face_index(self, f: Face) -> int:
         n, x, y, down = self.n, f.anchor.x, f.anchor.y, not f.up
-        if not (_is_int(x) and _is_int(y) and 1 <= y <= n and 1 <= x <= n + 1 - y - down):
+        if not (1 <= y <= n and 1 <= x <= n + 1 - y - down):
             raise InvalidInputError(f"face {f} is not in the side-{n} grid")
         return (y - 1) * (2 * n + 1 - y) + 2 * (x - 1) + down
 

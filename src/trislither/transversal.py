@@ -43,15 +43,6 @@ class TransversalGraph:
     links: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class TransversalDecomposition:
-    components: tuple[TransversalComponent, ...]
-
-    @property
-    def node_counts(self) -> list[int]:
-        return [c.node_count for c in self.components]
-
-
 def build_transversal(g: TriGrid, a: EdgeSet) -> TransversalGraph:
     """Midpoint graph of a totally even subset."""
     links = sorted(map(tuple, _even_links(g, a).tolist()))
@@ -127,23 +118,23 @@ def _components(nodes, links) -> list[TransversalComponent]:
     return components
 
 
-def decompose_transversals(t: TransversalGraph) -> TransversalDecomposition:
-    """Maximal paths and cycles of the midpoint graph, canonically ordered.
+def decompose_transversals(t: TransversalGraph) -> tuple[TransversalComponent, ...]:
+    """The tuple of maximal paths and cycles of the midpoint graph, in order.
 
     Components are listed by their smallest node; a path starts at its
     smaller endpoint, a cycle at its smallest node heading toward the
     smaller neighbour.
     """
-    return TransversalDecomposition(components=tuple(_components(t.nodes, t.links)))
+    return tuple(_components(t.nodes, t.links))
 
 
-def check_mod4(d: TransversalDecomposition) -> bool:
+def check_mod4(components: tuple[TransversalComponent, ...]) -> bool:
     """True iff every component meets a multiple of four subset edges.
 
     Holds whenever the subset is the symmetric difference of two cycles
     with the same signature; a general totally even subset may fail.
     """
-    return all(c.node_count % 4 == 0 for c in d.components)
+    return all(c.node_count % 4 == 0 for c in components)
 
 
 def alternation_check(g: TriGrid, a: EdgeSet, c1, c2) -> bool:

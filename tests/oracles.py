@@ -512,8 +512,10 @@ def reference_alive_walk(g, root):
 
 def reference_render_svg(g, subset=None, transversal=None, unit=40.0):
     """``render_svg`` over the ``Vertex`` and ``Edge`` objects of the grid,
-    one element at a time."""
+    one element at a time: the figure is laid out at 40 px per unit edge,
+    and ``unit`` scales only its width and height."""
     s3h = math.sqrt(3.0) / 2.0
+    scale, unit = unit / 40.0, 40.0
 
     def fmt(value):
         return f"{value:.2f}"
@@ -536,8 +538,8 @@ def reference_render_svg(g, subset=None, transversal=None, unit=40.0):
     width = 2 * margin + g.n * unit
     height = 2 * margin + height_units * unit
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(width)}" '
-        f'height="{fmt(height)}" viewBox="0 0 {fmt(width)} {fmt(height)}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(width * scale)}" '
+        f'height="{fmt(height * scale)}" viewBox="0 0 {fmt(width)} {fmt(height)}">'
     ]
     for e in g.edges:
         u, v = e.endpoints

@@ -155,7 +155,7 @@ def test_reference_pair_reproduction():
         assert len(diff) == 24
         assert len(diff) % 12 == 0
         d = decompose_transversals(build_transversal(g5, diff))
-        assert sorted(d.node_counts) == [4, 4, 4, 12]
+        assert sorted(c.node_count for c in d) == [4, 4, 4, 12]
         assert check_mod4(d)
         assert alternation_check(g5, diff, c1, c2)
     assert t.elapsed < 1.0
@@ -208,9 +208,9 @@ def test_t2_hexagon_forms_single_six_node_loop():
     g2 = build_grid(2)
     d = decompose_transversals(build_transversal(g2, basis_subset(g2, 1)))
     _report("side-2 hexagon as one 6-node loop (documented discrepancy)", ok=False)
-    assert len(d.components) == 1
-    assert d.components[0].kind is ComponentKind.CYCLE
-    assert d.components[0].node_count == 6
+    assert len(d) == 1
+    assert d[0].kind is ComponentKind.CYCLE
+    assert d[0].node_count == 6
 
 
 def test_enumeration_matches_subset_filter_oracle():

@@ -312,7 +312,7 @@ def test_transversal_reads_the_cycles_onto_the_subset_grid(
     a_path = tmp_path / "a.edges"
     write_edge_set(a_path, c1.edge_set ^ c2.edge_set)
     if other_side != 5:
-        c2 = next(enumerate_cycles(build_grid(other_side), limit=1))
+        c2 = next(enumerate_cycles(build_grid(other_side)))
     paths = [tmp_path / "c1.cycle", tmp_path / "c2.cycle"]
     for path, c in zip(paths, (c1, c2)):
         write_cycle(path, c)
@@ -329,7 +329,7 @@ def test_transversal_reads_the_cycles_onto_the_subset_grid(
         assert "alternation: OK" in out
     else:
         assert code == 2
-        assert err == "error: edge sets live on different grids (n=5 vs n=6)\n"
+        assert err == "error: edge set of the side-6 grid used on the side-5 grid\n"
 
 
 def test_transversal_header_only_cycle_file(tmp_path, capsys, g5):

@@ -119,12 +119,13 @@ def test_boundary_cycle_signature():
 def test_signature_checks_the_grid(g2, g5):
     c5, _ = t5_pair(g5)
     c2 = validate_cycle(g2, face_set(g2, (1, 1)))
+    message = "^edge set of the side-{} grid used on the side-{} grid$"
     for g, c in ((g2, c5), (g5, c2), (build_grid(4), c5)):
-        with pytest.raises(InvalidInputError, match="^edge set does not belong to this grid$"):
+        with pytest.raises(InvalidInputError, match=message.format(c.grid.n, g.n)):
             signature(g, c)
-    with pytest.raises(InvalidInputError, match="^edge set does not belong to this grid$"):
+    with pytest.raises(InvalidInputError, match=message.format(5, 4)):
         verify_pair(build_grid(4), *t5_pair(g5))
-    with pytest.raises(InvalidInputError, match="^edge set does not belong to this grid$"):
+    with pytest.raises(InvalidInputError, match=message.format(5, 2)):
         cycle_defect(g2, c5.edge_set)
 
 
@@ -145,14 +146,15 @@ def test_signature_checks_the_grid(g2, g5):
 def test_edge_sets_from_another_grid_are_refused(g5, side, check):
     """Each entry point that reads an edge set by this grid's indices first
     checks that the set lives on this grid."""
-    with pytest.raises(InvalidInputError, match="^edge set does not belong to this grid$"):
+    message = f"^edge set of the side-5 grid used on the side-{side} grid$"
+    with pytest.raises(InvalidInputError, match=message):
         check(build_grid(side), *t5_pair(g5))
 
 
 def test_signature_total_counts_incidences(g5):
     c1, _ = t5_pair(g5)
     sig = signature(g5, c1)
-    total = sum(sig.counts)
+    total = sum(sig)
     assert total == sum(int(g5.edge_face_count[i]) for i in np.flatnonzero(c1.edge_set.bits))
 
 
@@ -183,20 +185,12 @@ def test_enumeration_sound(g3):
         assert cycle_defect(g3, c.edge_set) is None
 
 
-def test_enumeration_limit(g3):
-    assert len(list(enumerate_cycles(g3, limit=5))) == 5
-    assert len(list(enumerate_cycles(g3, limit=np.int64(5)))) == 5
-    assert list(enumerate_cycles(g3, limit=0)) == []
-
-
 @pytest.mark.parametrize("budget", [2.5, 2.0, True, False, "3", np.float64(3), -1])
 def test_budgets_are_non_bool_integers(g3, budget):
     if budget == -1:
         message = r"^{} must be >= 0, got -1$"
     else:
         message = rf"^{{}} must be an integer, got {re.escape(repr(budget))}$"
-    with pytest.raises(InvalidParameterError, match=message.format("limit")):
-        list(enumerate_cycles(g3, limit=budget))
     with pytest.raises(InvalidParameterError, match=message.format("max_cycles")):
         census(g3, max_cycles=budget)
 

@@ -266,7 +266,7 @@ def test_shared_grid_equals_a_fresh_one(n, tmp_path):
     g = build_grid(n)
     census(g, max_cycles=50)
     path = tmp_path / "c.cycle"
-    write_cycle(path, next(enumerate_cycles(g, limit=1)))
+    write_cycle(path, next(enumerate_cycles(g)))
     assert read_cycle(path).grid is g
     _assert_same_grid(g, TriGrid(n))
 
@@ -468,9 +468,44 @@ def test_coordinates_that_are_not_integers_are_refused(g5, c, error, lookup):
 def test_a_string_coordinate_is_an_edge_error(g5, lookup):
     with pytest.raises(InvalidEdgeError, match="^vertex coordinates must be integers, got '1'$"):
         lookup(g5)
-    # Naming such an edge, as an error message or a debugger does, never fails.
-    assert repr(Edge(Vertex("1", 1), Dir.E)) == "('1',1)+E"
-    assert repr(Edge(Vertex(1, "1"), Dir.NW)) == "(1,'1')+NW"
+
+
+@pytest.mark.parametrize(
+    "error, build",
+    [
+        (InvalidEdgeError, lambda g: g.edge_index(Edge(Vertex(1, 1), 0))),
+        (InvalidEdgeError, lambda g: Edge(Vertex(1, 1), None) in EdgeSet.empty(g)),
+        (InvalidEdgeError, lambda g: repr(Edge(Vertex(1, 1), 0))),
+        (InvalidEdgeError, lambda g: Edge((1, 1), Dir.E)),
+        (InvalidEdgeError, lambda g: EdgeSet.from_edges(g, [Vertex(1, 1)])),
+        (InvalidInputError, lambda g: Face(Vertex("1", 1), True).corners),
+        (InvalidInputError, lambda g: Face((1, 1), True)),
+        (InvalidInputError, lambda g: Face(Vertex(1, 1), 1)),
+    ],
+    ids=["int-dir", "none-dir", "repr", "tuple-base", "vertex-as-edge", "str-anchor",
+         "tuple-anchor", "int-up"],
+)
+def test_malformed_edges_and_faces_are_refused_when_built(g5, error, build):
+    with pytest.raises(error):
+        build(g5)
+
+
+def test_face_errors_show_the_anchor_coordinates():
+    with pytest.raises(InvalidInputError, match=r"^face anchor coordinates must be integers, "
+                                                r"got \('1',1\)$"):
+        Face(Vertex("1", 1), True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 48])
+def test_edge_index_inverts_the_edge_order(n):
+    g = build_grid(n)
+    assert [g.edge_index(e) for e in g.edges] == list(range(g.num_edges))
+    # Integers of any kind and size, on the grid or off it.
+    assert g.edge_index(Edge(Vertex(np.uint64(1), np.int8(1)), Dir.NE)) == 1
+    for base, d in (((n + 1, 1), Dir.E), ((1, 1), Dir.NW), ((0, 1), Dir.E),
+                    ((10**30, 1), Dir.E), ((1, -(10**30)), Dir.NE), ((1, n + 1), Dir.NE)):
+        with pytest.raises(InvalidEdgeError, match="is not in the side-"):
+            g.edge_index(Edge(Vertex(*base), d))
 
 
 # An overflow warning would reach a user's stderr.

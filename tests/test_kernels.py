@@ -174,7 +174,7 @@ def test_unlimited_enumeration_streams():
         got = list(islice(enumerate_cycles(g), 0, 4000, 37))
         elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
-    expected = list(islice(enumerate_cycles(g, limit=4000), 0, None, 37))
+    expected = list(islice(islice(enumerate_cycles(g), 4000), 0, None, 37))
     assert len(got) == len(expected) == 109
     assert [c.edge_set for c in got] == [c.edge_set for c in expected]
 

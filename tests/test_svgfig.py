@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -64,18 +65,38 @@ def test_transversal_of_another_grid_rejected():
 def test_a_unit_too_large_to_draw_is_refused(n, unit):
     g = build_grid(n)
     for kwargs in ({}, {"subset": EdgeSet.empty(g)}):
-        with pytest.raises(InvalidParameterError, match="too large to draw"):
+        message = rf"^unit {re.escape(repr(unit))} makes the side-{n} figure too large to draw$"
+        with pytest.raises(InvalidParameterError, match=message):
             render_svg(g, unit=unit, **kwargs)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_link_end_that_would_overflow_is_refused():
-    """At side 5 and a unit of 2e307 the figure is 1.24e308 wide, but the sum
-    of two vertex x coordinates that a link end halves passes the largest
-    float: the figure alone is drawn, and with its transversals refused."""
-    g = build_grid(5)
-    even = recompose(g, [2])
-    text = render_svg(g, subset=even, unit=2e307)
-    assert "inf" not in text and "nan" not in text
-    with pytest.raises(InvalidParameterError, match="too large to draw"):
-        render_svg(g, subset=even, transversal=build_transversal(g, even), unit=2e307)
+def test_transversal_indices_that_are_not_integers_are_refused():
+    g3 = build_grid(3)
+    for bad in (TransversalGraph(nodes=(0, 1), links=((0, 1.7),)),
+                TransversalGraph(nodes=("1",), links=()),
+                TransversalGraph(nodes=(1.0,), links=()),
+                TransversalGraph(nodes=(True,), links=())):
+        with pytest.raises(InvalidInputError, match="^transversal (node|link)s must be edge indices"):
+            render_svg(g3, transversal=bad)
+    empty = render_svg(g3, transversal=TransversalGraph(nodes=(), links=()))
+    assert empty == render_svg(g3)
+
+
+@pytest.mark.parametrize("unit", [True, False, "40", None, 1j])
+def test_a_unit_that_is_no_real_number_is_refused(unit):
+    with pytest.raises(InvalidParameterError, match="^unit must be a finite length > 0"):
+        render_svg(build_grid(2), unit=unit)
+
+
+def test_the_unit_scales_only_the_figure_size():
+    """The figure is laid out at 40 px per unit edge whatever the unit, so
+    only the header's width and height change with it."""
+    g = build_grid(48)
+    even = recompose(g, [3, 10])
+    kwargs = {"subset": even, "transversal": build_transversal(g, even)}
+    text = render_svg(g, **kwargs)
+    assert_same_text(render_svg(g, unit=40, **kwargs), text)
+    for unit in (1e-3, 1e300):
+        scaled = render_svg(g, unit=unit, **kwargs)
+        assert abs(len(scaled) - len(text)) < 1000
+        assert_same_text(scaled.split("\n", 1)[1], text.split("\n", 1)[1])

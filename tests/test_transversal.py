@@ -24,7 +24,7 @@ def test_empty_subset_gives_empty_graph(g5):
     assert t.nodes == ()
     assert t.links == ()
     d = decompose_transversals(t)
-    assert d.components == ()
+    assert d == ()
     assert check_mod4(d)
 
 
@@ -36,9 +36,9 @@ def test_requires_totally_even(g5):
 def test_reference_subset_decomposition(g5):
     a = basis_subset(g5, 2)
     d = decompose_transversals(build_transversal(g5, a))
-    assert sorted(d.node_counts) == [4, 4, 4, 12]
-    assert [c.kind for c in d.components].count(ComponentKind.CYCLE) == 1
-    assert [c.kind for c in d.components].count(ComponentKind.PATH) == 3
+    assert sorted(c.node_count for c in d) == [4, 4, 4, 12]
+    assert [c.kind for c in d].count(ComponentKind.CYCLE) == 1
+    assert [c.kind for c in d].count(ComponentKind.PATH) == 3
     assert check_mod4(d)
 
 
@@ -47,8 +47,8 @@ def test_t2_hexagon_decomposition(g2):
     # of its edges, so the midpoint graph splits into three 2-node paths.
     a = basis_subset(g2, 1)
     d = decompose_transversals(build_transversal(g2, a))
-    assert sorted(d.node_counts) == [2, 2, 2]
-    assert all(c.kind is ComponentKind.PATH for c in d.components)
+    assert sorted(c.node_count for c in d) == [2, 2, 2]
+    assert all(c.kind is ComponentKind.PATH for c in d)
     assert not check_mod4(d)
 
 
@@ -63,8 +63,7 @@ def test_node_degrees_match_face_counts(n):
             # exactly two subset edges, so the node degree equals the
             # edge's finite-face count.
             assert degrees[node] == int(g.edge_face_count[node])
-        d = decompose_transversals(t)
-        for comp in d.components:
+        for comp in decompose_transversals(t):
             if comp.kind is ComponentKind.PATH:
                 ends = {comp.nodes[0], comp.nodes[-1]}
                 for node in comp.nodes:
@@ -79,7 +78,7 @@ def test_component_counts_sum_to_subset_size(n):
     g = build_grid(n)
     for _, a in totally_even_subsets(g):
         d = decompose_transversals(build_transversal(g, a))
-        assert sum(d.node_counts) == len(a)
+        assert sum(c.node_count for c in d) == len(a)
 
 
 def test_decomposition_deterministic(g5):
@@ -87,7 +86,7 @@ def test_decomposition_deterministic(g5):
     d1 = decompose_transversals(build_transversal(g5, a))
     d2 = decompose_transversals(build_transversal(g5, a))
     assert d1 == d2
-    firsts = [c.nodes[0] for c in d1.components]
+    firsts = [c.nodes[0] for c in d1]
     assert firsts == sorted(firsts)
 
 
@@ -116,8 +115,7 @@ def test_alternation_tallies_balance(g5):
     a = c1.edge_set ^ c2.edge_set
     only1 = c1.edge_set.difference(c2.edge_set)
     only2 = c2.edge_set.difference(c1.edge_set)
-    d = decompose_transversals(build_transversal(g5, a))
-    for comp in d.components:
+    for comp in decompose_transversals(build_transversal(g5, a)):
         n1 = sum(1 for node in comp.nodes if only1.bits[node])
         n2 = sum(1 for node in comp.nodes if only2.bits[node])
         assert n1 == n2
