@@ -178,61 +178,15 @@ def _vertex_degrees(g: TriGrid, bits: np.ndarray) -> np.ndarray:
     return np.bincount(ends, minlength=g.num_vertices)
 
 
-# -- banded GF(2) elimination over int bitsets ------------------------------
+# -- the null-space oracle: one transposed GF(2) elimination -----------------
 #
-# Edges are numbered row by row, so every parity row spans at most 3n+2
-# consecutive edge indices. A row is kept as its lowest edge index and the
-# int bitset shifted right by it; the elimination and the back-substitution
-# below work on these short ints only and never on a full-width row.
+# The oracle eliminates the transposed parity matrix: one row per edge, the
+# parity constraints it enters plus a tag bit for the edge itself. Edges and
+# constraints are both ranked by position, row by row, so each edge row
+# reaches only a band of constraints, and rows whose constraint part cancels
+# leave their tags, which span the null space.
 
-
-def _constraint_rows(g: TriGrid) -> list[tuple[int, int]]:
-    """Vertex-parity then face-parity rows, each as (lowest edge, row >> lowest edge)."""
-    return _shifted_rows(g.nbr_edge, g.num_edges) + _shifted_rows(g.face_edges_idx, g.num_edges)
-
-
-def _shifted_rows(edges: np.ndarray, n_edges: int) -> list[tuple[int, int]]:
-    # One row per line of ``edges``, whose -1 entries are padding.
-    valid = edges >= 0
-    lo = np.where(valid, edges, n_edges).min(axis=1)
-    r, k = np.nonzero(valid)
-    offset = edges[r, k] - lo[r]
-    width = int(offset.max()) // 8 + 1
-    packed = np.zeros((len(edges), width), dtype=np.uint8)
-    np.bitwise_or.at(packed, (r, offset >> 3), (1 << (offset & 7)).astype(np.uint8))
-    data = packed.tobytes()
-    return [
-        (c, int.from_bytes(data[i * width : (i + 1) * width], "little"))
-        for i, c in enumerate(lo.tolist())
-    ]
-
-
-def _rref(rows: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """Row echelon form by lowest bit: {pivot column: row shifted right by it}.
-
-    Each (lowest column, shifted row) is reduced while a stored row has its
-    pivot at the row's lowest column, and stored at the first lowest column
-    that has none; rows that reduce to zero are dropped. The pivot columns
-    are those of the reduced row echelon form, as the set of lowest columns
-    of a row space does not depend on how it is eliminated. A row never
-    grows past the highest column of the rows it was reduced by, so none is
-    wider than the widest parity row (3n-1 bits once stored, at sides up to
-    256).
-    """
-    pivots: dict[int, int] = {}
-    for lo, row in rows:
-        while True:
-            pivot = pivots.get(lo)
-            if pivot is None:
-                pivots[lo] = row
-                break
-            row ^= pivot  # clears bit 0
-            if not row:
-                break
-            step = (row & -row).bit_length() - 1
-            row >>= step
-            lo += step
-    return pivots
+_CHUNK = 1024  # edges between two re-lays of the live pivots
 
 
 def _int_bits(value: int, n_bits: int) -> np.ndarray:
@@ -241,42 +195,89 @@ def _int_bits(value: int, n_bits: int) -> np.ndarray:
     return np.unpackbits(raw, count=n_bits, bitorder="little").view(bool)
 
 
-def null_space_oracle(g: TriGrid) -> tuple[list[EdgeSet], int]:
-    """Basis of the parity-constraint null space, by banded GF(2) elimination.
+def _edge_constraint_ranks(g: TriGrid) -> np.ndarray:
+    """Per edge, the ranks of the constraints it enters: its two end
+    vertices, its up face and its down face (the up face again where it
+    has none). Constraints are ranked by position: vertex row 1, the faces
+    between rows 1 and 2, vertex row 2, and so on."""
+    n = g.n
+    y = g.vertex_xy[:, 1]
+    vertex_rank = np.arange(g.num_vertices) + (y - 1) * (2 * n + 1 - y)  # + faces below
+    face = np.arange(g.num_faces)
+    _, fy, up = _face_layout(n, face)
+    face_rank = face + fy * (2 * n + 3 - fy) // 2  # + vertices in rows 1..fy
+    ranks = np.empty((g.num_edges, 4), dtype=np.int64)
+    ranks[:, 0] = vertex_rank[g.u_of_edge]
+    ranks[:, 1] = vertex_rank[g.v_of_edge]
+    fe = g.face_edges_idx
+    ranks[fe[up], 2] = face_rank[up, None]  # every edge lies in one up face
+    ranks[:, 3] = ranks[:, 2]
+    ranks[fe[~up], 3] = face_rank[~up, None]
+    return ranks
 
-    Returns (basis, dimension). Each column without a pivot gives one basis
-    vector, in column order: the null vector that is 1 there and 0 at every
-    other pivot-free column, as in the reduced row echelon form. It is
-    found by back-substitution from that column down, where a pivot
-    column's bit is the parity of its row against the bits already set
-    above it, all within a window as wide as the widest row. Independent of
-    the constructive basis: this only ever sees the vertex/face parity
-    matrix.
+
+def null_space_oracle(g: TriGrid) -> tuple[list[EdgeSet], int]:
+    """Basis of the parity-constraint null space, by one GF(2) elimination
+    of the transposed parity matrix.
+
+    Returns (basis, dimension). The edge rows are taken from the highest
+    edge down, each pivoted on its highest constraint; a row whose
+    constraint part cancels leaves its tag, a null vector. Reduced to
+    echelon form by highest edge, the tags are the basis of the reduced row
+    echelon form of the parity matrix: one vector per pivot-free column, in
+    column order, 1 there and 0 at every other pivot-free column.
+
+    Each row is one int: the tag in reversed edge order (edge j at bit
+    E-1-j) below a split, and constraint c at bit split + c - base above
+    it. Every ``_CHUNK`` edges the split rises past the tags the next edges
+    make and the base drops to the lowest constraint they reach, and the
+    live pivots are re-laid; a pivot no remaining edge can reach is
+    dropped. Independent of the constructive basis: this only ever sees the
+    vertex/face parity incidence.
     """
     n_edges = g.num_edges
-    pivots = _rref(_constraint_rows(g))
-    rows = [pivots.get(c, 0) for c in range(n_edges)]  # 0 at a free column
-    # The window holds at least the bits a row can reach above its pivot and
-    # is written out a whole number of bytes at a time.
-    span = -(-max(map(int.bit_length, rows)) // 8) * 8
-    keep = (1 << span) - 1
-    basis = []
-    for free in range(n_edges):
-        if rows[free]:
-            continue
-        vec = bytearray(-(-n_edges // span) * span // 8)
-        window, top = 1, free
-        for start in range(free // span * span, -1, -span):
-            for row in reversed(rows[start:top]):
-                window <<= 1
-                if (window & row).bit_count() & 1:
-                    window |= 1
-            window &= keep  # bit k is now the bit of column start + k
-            vec[start // 8 : (start + span) // 8] = window.to_bytes(span // 8, "little")
-            top = start
-        bits = np.unpackbits(np.frombuffer(vec, np.uint8), count=n_edges, bitorder="little")
-        basis.append(EdgeSet(g, bits.view(bool)))
-    return basis, len(basis)
+    ranks = _edge_constraint_ranks(g)
+    reach = np.maximum.accumulate(ranks.max(axis=1))  # highest constraint of edges 0..i
+    floor = np.minimum.accumulate(ranks.min(axis=1)[::-1])[::-1]  # lowest of edges i..
+    pivots: list[int] = []  # by bit length: the row whose highest bit is one below
+    tags = []
+    split = base = 0
+    for hi in range(n_edges, 0, -_CHUNK):
+        lo = max(hi - _CHUNK, 0)
+        new_split, new_base = n_edges - lo, int(floor[lo])
+        top = int(reach[hi - 1])
+        moved = [0] * (new_split + top - new_base + 2)
+        shift, tag_mask = new_split - split + base - new_base, (1 << split) - 1
+        for k in range(split + 1, min(split + top - base + 2, len(pivots))):
+            if row := pivots[k]:
+                moved[k + shift] = row & tag_mask | row >> split << (split + shift)
+        pivots, split, base = moved, new_split, new_base
+        rows = np.empty((hi - lo, 5), dtype=np.int64)
+        rows[:, 0] = np.arange(n_edges - hi, n_edges - lo)
+        rows[:, 1:] = ranks[lo:hi][::-1] + (split - base)
+        for t, a, b, c, d in rows.tolist():
+            row = 1 << t | 1 << a | 1 << b | 1 << c | 1 << d
+            while pivot := pivots[k := row.bit_length()]:
+                row ^= pivot
+            if k > split:
+                pivots[k] = row
+            else:
+                tags.append(row)
+    # Reduced echelon form by lowest bit, that is by highest edge.
+    basis: dict[int, int] = {}
+    for vec in tags:
+        for low, other in basis.items():
+            if vec & low:
+                vec ^= other
+        low = vec & -vec
+        for k, other in basis.items():
+            if other & low:
+                basis[k] = other ^ vec
+        basis[low] = vec
+    vectors = [
+        EdgeSet(g, _int_bits(basis[low], n_edges)[::-1]) for low in sorted(basis, reverse=True)
+    ]
+    return vectors, len(vectors)
 
 
 # -- the constructive basis ---------------------------------------------------

@@ -58,7 +58,10 @@ def _lines(cls: str, stroke: str, width_px: float, x1, y1, x2, y2) -> list[str]:
 
 def _edge_indices(g: TriGrid, values, what: str) -> np.ndarray:
     idx = np.asarray(values)
-    # An empty tuple reads as float64. An int past int64 reads as an object.
+    # An empty tuple reads as float64 and an int past int64 as an object. A
+    # bool among ints reads as an int, so the values' own types are read too.
+    if idx.size and {bool, np.bool_} & set(map(type, np.asarray(values, dtype=object).flat)):
+        raise InvalidInputError(f"transversal {what}s must be edge indices, got bool")
     if idx.size and idx.dtype.kind not in "iu":
         raise InvalidInputError(f"transversal {what}s must be edge indices, got {idx.dtype}")
     bad = idx[(idx < 0) | (idx >= g.num_edges)]
@@ -75,7 +78,7 @@ def render_svg(
     transversal: TransversalGraph | None = None,
     unit: float = 40.0,
 ) -> str:
-    if isinstance(unit, bool) or not (isinstance(unit, Real) and math.isfinite(unit) and unit > 0):
+    if isinstance(unit, bool) or not (isinstance(unit, Real) and 0 < unit < math.inf):
         raise InvalidParameterError(f"unit must be a finite length > 0, got {unit!r}")
     if subset is not None:
         _check_grid(g, subset)
@@ -84,7 +87,10 @@ def render_svg(
         links = _edge_indices(g, transversal.links, "link").reshape(-1, 2)
     # The figure is laid out at 40 px per unit edge; the unit scales its size.
     edge_px = 40.0
-    scale = unit / edge_px
+    try:
+        scale = float(unit) / edge_px
+    except OverflowError:  # an int or a fraction past the largest float
+        scale = math.inf
     n = g.n
     margin = 0.6 * edge_px
     height_units = n * _S3H

@@ -189,6 +189,38 @@ def test_oracle_past_dense_sizes(n):
     assert len(index_sets) == d and () not in index_sets
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_oracle_does_not_use_the_construction(monkeypatch, n):
+    """The oracle sees only the parity incidence: with the constructive
+    basis and the bottom propagation broken it still finds floor(n/2)
+    totally even vectors."""
+    from trislither import evenalg
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the oracle called the construction")
+
+    for name in ("basis_subset", "_wedge_bits", "recompose", "propagate_from_bottom"):
+        monkeypatch.setattr(evenalg, name, broken)
+    basis, d = null_space_oracle(build_grid(n))
+    assert d == len(basis) == n // 2
+    assert all(is_totally_even(build_grid(n), vec) for vec in basis)
+
+
+@pytest.mark.parametrize("n", range(25, 49))
+def test_oracle_basis_is_in_reduced_echelon_form(n):
+    """Past the dense reference's sizes: each vector is totally even, its
+    highest edge is its own free column, every other vector is clear
+    there, and the vectors come in column order."""
+    g = build_grid(n)
+    basis, d = null_space_oracle(g)
+    assert d == len(basis) == n // 2
+    free = [int(np.flatnonzero(vec.bits)[-1]) for vec in basis]
+    assert free == sorted(set(free))
+    for k, vec in enumerate(basis):
+        assert is_totally_even(g, vec)
+        assert vec.bits[free].tolist() == [j == k for j in range(d)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_even_space_matches_brute_force(n):
     g = build_grid(n)

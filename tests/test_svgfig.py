@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,6 +81,23 @@ def test_transversal_indices_that_are_not_integers_are_refused():
             render_svg(g3, transversal=bad)
     empty = render_svg(g3, transversal=TransversalGraph(nodes=(), links=()))
     assert empty == render_svg(g3)
+
+
+def test_a_bool_among_transversal_indices_is_refused():
+    """numpy reads a bool among ints as an int; it is refused as a lone
+    bool is, not drawn as edge 1."""
+    g2 = build_grid(2)
+    for bad in (TransversalGraph(nodes=(1, True), links=((0, True),)),
+                TransversalGraph(nodes=(1, 2), links=((0, True),)),
+                TransversalGraph(nodes=(0, np.bool_(True)), links=())):
+        with pytest.raises(InvalidInputError, match="^transversal (node|link)s must be edge indices, got bool$"):
+            render_svg(g2, transversal=bad)
+
+
+@pytest.mark.parametrize("unit", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+def test_a_unit_past_the_float_range_is_refused(unit):
+    with pytest.raises(InvalidParameterError, match="^unit .* makes the side-2 figure too large to draw$"):
+        render_svg(build_grid(2), unit=unit)
 
 
 @pytest.mark.parametrize("unit", [True, False, "40", None, 1j])
