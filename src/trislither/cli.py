@@ -27,7 +27,7 @@ from .evenalg import (
 from .fileio import MAX_SIDE, read_cycle, read_edge_set, write_cycle, write_edge_set
 from .grid import TriGrid, build_grid
 from .svgfig import render_svg
-from .transversal import alternation_check, build_transversal, check_mod4, decompose_transversals
+from .transversal import alternation_check, check_mod4, decompose_transversals
 
 
 def _grid(n: int) -> TriGrid:
@@ -115,11 +115,10 @@ def _cmd_transversal(args) -> int:
     if args.c1 is not None:
         c1 = read_cycle(args.c1)
         c2 = read_cycle(args.c2)
-    t = build_transversal(g, a)
+    d = decompose_transversals(g, a)
     # The figure is written before any output, so a refused path prints nothing.
     if args.svg_out:
-        _write_svg(args.svg_out, render_svg(g, subset=a, transversal=t, unit=args.unit_px))
-    d = decompose_transversals(t)
+        _write_svg(args.svg_out, render_svg(g, subset=a, transversals=True))
     sizes = [c.node_count for c in d]
     mod4 = check_mod4(d)
     if sizes:
@@ -148,7 +147,7 @@ def _write_svg(path: str, text: str) -> None:
 
 def _cmd_svg(args) -> int:
     a = read_edge_set(args.infile)
-    _write_svg(args.out, render_svg(a.grid, subset=a, unit=args.unit_px))
+    _write_svg(args.out, render_svg(a.grid, subset=a))
     print(f"wrote: {args.out}")
     return 0
 
@@ -206,13 +205,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--c1", default=None)
     p.add_argument("--c2", default=None)
     p.add_argument("--svg-out", default=None)
-    p.add_argument("--unit-px", type=float, default=40.0)
     p.set_defaults(func=_cmd_transversal)
 
     p = sub.add_parser("svg", help="render a saved edge set")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--unit-px", type=float, default=40.0)
     p.set_defaults(func=_cmd_svg)
 
     p = sub.add_parser("oracle", help="null-space dimension of the parity system")

@@ -400,6 +400,8 @@ class TriGrid:
         return (1 <= y) & (y <= self.n + 1) & (1 <= x) & (x <= self.n + 2 - y)
 
     def vertex_index(self, v: Vertex) -> int:
+        if not isinstance(v, Vertex):
+            raise InvalidInputError(f"expected a Vertex, got {v!r}")
         if not (_is_int(v.x) and _is_int(v.y) and self.has_vertex(v.x, v.y)):
             raise InvalidInputError(f"vertex {v} is not in the side-{self.n} grid")
         return _vertex_id(self.n, v.x, v.y)
@@ -414,6 +416,8 @@ class TriGrid:
         return int(self.edge_slot[slot])
 
     def face_index(self, f: Face) -> int:
+        if not isinstance(f, Face):
+            raise InvalidInputError(f"expected a Face, got {f!r}")
         n, x, y, down = self.n, f.anchor.x, f.anchor.y, not f.up
         if not (1 <= y <= n and 1 <= x <= n + 1 - y - down):
             raise InvalidInputError(f"face {f} is not in the side-{n} grid")

@@ -34,21 +34,6 @@ class TransversalComponent:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
-class TransversalGraph:
-    """Nodes are subset-edge indices; links pair the two subset edges of a
-    face that contains exactly two of them."""
-
-    nodes: tuple[int, ...]
-    links: tuple[tuple[int, int], ...]
-
-
-def build_transversal(g: TriGrid, a: EdgeSet) -> TransversalGraph:
-    """Midpoint graph of a totally even subset."""
-    links = sorted(map(tuple, _even_links(g, a).tolist()))
-    return TransversalGraph(nodes=tuple(np.flatnonzero(a.bits).tolist()), links=tuple(links))
-
-
 def _even_links(g: TriGrid, a: EdgeSet) -> np.ndarray:
     """``face_links`` of ``a``, which must be totally even."""
     if not is_totally_even(g, a):
@@ -57,11 +42,12 @@ def _even_links(g: TriGrid, a: EdgeSet) -> np.ndarray:
 
 
 def face_links(g: TriGrid, bits: np.ndarray) -> np.ndarray:
-    """One row (low, high) per finite face holding exactly two set edges."""
+    """One row (low, high) per finite face holding exactly two set edges,
+    the rows sorted by (low, high)."""
     per_face = bits[g.face_edges_idx]
     two = per_face.sum(axis=1) == 2
-    pairs = g.face_edges_idx[two][per_face[two]].reshape(-1, 2)
-    return np.sort(pairs, axis=1)
+    pairs = np.sort(g.face_edges_idx[two][per_face[two]].reshape(-1, 2), axis=1)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 def links_alternate(links, only1_bits: np.ndarray, only2_bits: np.ndarray) -> bool:
@@ -83,9 +69,7 @@ def _components(nodes, links) -> list[TransversalComponent]:
     for a, b in links:
         adj[a].append(b)
         adj[b].append(a)
-    for node, nbrs in adj.items():
-        if len(nbrs) > 2:
-            raise RuntimeError(f"midpoint node {node} has degree {len(nbrs)} > 2")
+    for nbrs in adj.values():
         nbrs.sort()
         nbrs += [None] * (2 - len(nbrs))  # a path's end reads None
 
@@ -118,14 +102,16 @@ def _components(nodes, links) -> list[TransversalComponent]:
     return components
 
 
-def decompose_transversals(t: TransversalGraph) -> tuple[TransversalComponent, ...]:
-    """The tuple of maximal paths and cycles of the midpoint graph, in order.
+def decompose_transversals(g: TriGrid, a: EdgeSet) -> tuple[TransversalComponent, ...]:
+    """The tuple of maximal paths and cycles of the midpoint graph of the
+    totally even subset ``a``, in order.
 
     Components are listed by their smallest node; a path starts at its
     smaller endpoint, a cycle at its smallest node heading toward the
     smaller neighbour.
     """
-    return tuple(_components(t.nodes, t.links))
+    links = _even_links(g, a).tolist()
+    return tuple(_components(np.flatnonzero(a.bits).tolist(), links))
 
 
 def check_mod4(components: tuple[TransversalComponent, ...]) -> bool:

@@ -31,7 +31,7 @@ from trislither._kernels import _SPLITS, _flood, _ring
 from trislither.cycles import signature, validate_cycle
 from trislither.evenalg import _int_bits, permute_bits
 from trislither.fileio import MAX_SIDE
-from trislither.grid import Dir, Edge, Vertex
+from trislither.grid import Dir, Edge, Face, Vertex
 
 
 def edge_mask(edge_set) -> int:
@@ -510,12 +510,27 @@ def reference_alive_walk(g, root):
 # -- SVG ------------------------------------------------------------------
 
 
-def reference_render_svg(g, subset=None, transversal=None, unit=40.0):
-    """``render_svg`` over the ``Vertex`` and ``Edge`` objects of the grid,
-    one element at a time: the figure is laid out at 40 px per unit edge,
-    and ``unit`` scales only its width and height."""
+def _reference_face_links(g, subset):
+    """The (low, high) edge-index pairs of the ``Face`` objects of the grid
+    that hold exactly two subset edges, sorted."""
+    index, held = reference_edge_index(g.n), set(subset.edges())
+    links = []
+    for y in range(1, g.n + 1):
+        for x in range(1, g.n + 2 - y):
+            for up in (True, False) if x <= g.n - y else (True,):
+                p, q, r = ((v.x, v.y) for v in Face(Vertex(x, y), up).corners)
+                sides = (index[p, q], index[q, r], index[p, r])
+                two = sorted(k for k in sides if g.edges[k] in held)
+                if len(two) == 2:
+                    links.append(tuple(two))
+    return sorted(links)
+
+
+def reference_render_svg(g, subset=None, transversals=False):
+    """``render_svg`` over the ``Vertex``, ``Edge`` and ``Face`` objects of
+    the grid, one element at a time, laid out at 40 px per unit edge."""
     s3h = math.sqrt(3.0) / 2.0
-    scale, unit = unit / 40.0, 40.0
+    unit = 40.0
 
     def fmt(value):
         return f"{value:.2f}"
@@ -535,11 +550,15 @@ def reference_render_svg(g, subset=None, transversal=None, unit=40.0):
             f'stroke-width="{fmt(width_px)}" stroke-linecap="round"/>'
         )
 
+    def mid(k):
+        (x1, y1), (x2, y2) = map(place, g.edges[k].endpoints)
+        return (x1 + x2) / 2.0, (y1 + y2) / 2.0
+
     width = 2 * margin + g.n * unit
     height = 2 * margin + height_units * unit
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(width * scale)}" '
-        f'height="{fmt(height * scale)}" viewBox="0 0 {fmt(width)} {fmt(height)}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(width)}" '
+        f'height="{fmt(height)}" viewBox="0 0 {fmt(width)} {fmt(height)}">'
     ]
     for e in g.edges:
         u, v = e.endpoints
@@ -548,14 +567,9 @@ def reference_render_svg(g, subset=None, transversal=None, unit=40.0):
         for e in subset.edges():
             u, v = e.endpoints
             out.append(line(place(u), place(v), "#101010", 0.12 * unit, "subset"))
-    if transversal is not None:
-        mids = {}
-        for node in transversal.nodes:
-            u, v = g.edges[node].endpoints
-            (x1, y1), (x2, y2) = place(u), place(v)
-            mids[node] = ((x1 + x2) / 2.0, (y1 + y2) / 2.0)
-        for a, b in transversal.links:
-            out.append(line(mids[a], mids[b], "#c03030", 0.05 * unit, "transversal"))
+        if transversals:
+            for a, b in _reference_face_links(g, subset):
+                out.append(line(mid(a), mid(b), "#c03030", 0.05 * unit, "transversal"))
     for v in g.vertices:
         cx, cy = place(v)
         out.append(f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(0.07 * unit)}" fill="#000000"/>')

@@ -34,7 +34,6 @@ from trislither import (
 from trislither.transversal import (
     ComponentKind,
     alternation_check,
-    build_transversal,
     check_mod4,
     decompose_transversals,
 )
@@ -154,7 +153,7 @@ def test_reference_pair_reproduction():
         assert diff == basis_subset(g5, 2)
         assert len(diff) == 24
         assert len(diff) % 12 == 0
-        d = decompose_transversals(build_transversal(g5, diff))
+        d = decompose_transversals(g5, diff)
         assert sorted(c.node_count for c in d) == [4, 4, 4, 12]
         assert check_mod4(d)
         assert alternation_check(g5, diff, c1, c2)
@@ -178,7 +177,7 @@ def test_obstruction_consistency():
     with _timer() as t:
         g2 = build_grid(2)
         hexagon = basis_subset(g2, 1)
-        d = decompose_transversals(build_transversal(g2, hexagon))
+        d = decompose_transversals(g2, hexagon)
         assert not check_mod4(d)
         assert parity_obstruction(g2, hexagon)
         for n in (2, 3):
@@ -206,7 +205,7 @@ def test_obstruction_consistency():
 )
 def test_t2_hexagon_forms_single_six_node_loop():
     g2 = build_grid(2)
-    d = decompose_transversals(build_transversal(g2, basis_subset(g2, 1)))
+    d = decompose_transversals(g2, basis_subset(g2, 1))
     _report("side-2 hexagon as one 6-node loop (documented discrepancy)", ok=False)
     assert len(d) == 1
     assert d[0].kind is ComponentKind.CYCLE

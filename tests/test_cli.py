@@ -381,13 +381,16 @@ def test_svg_deterministic(tmp_path, capsys, g6):
     assert p1.read_text().count('class="subset"') == 18
 
 
-def test_svg_unit_scale_changes_output(tmp_path, capsys, g3):
-    path = tmp_path / "a.edges"
-    write_edge_set(path, EdgeSet.empty(g3))
-    p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    run(capsys, "svg", "--in", str(path), "--out", str(p1))
-    run(capsys, "svg", "--in", str(path), "--out", str(p2), "--unit-px", "20")
-    assert p1.read_bytes() != p2.read_bytes()
+def assert_unit_px_refused(capsys, argv, out_path):
+    """``--unit-px`` is no option: any value is a usage error, exit 2, with
+    nothing printed to stdout and no figure written."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments: --unit-px" in out.err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("unit", ["nan", "inf", "-5", "0"])
@@ -395,24 +398,17 @@ def test_svg_rejects_bad_unit(tmp_path, capsys, g3, unit):
     path = tmp_path / "a.edges"
     write_edge_set(path, EdgeSet.empty(g3))
     out_path = tmp_path / "fig.svg"
-    code, _, err = run(capsys, "svg", "--in", str(path), "--out", str(out_path), "--unit-px", unit)
-    assert code == 2
-    assert "unit must be a finite length > 0" in err
-    assert not out_path.exists()
+    argv = ["svg", "--in", str(path), "--out", str(out_path), "--unit-px", unit]
+    assert_unit_px_refused(capsys, argv, out_path)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_svg_refuses_a_unit_too_large_to_draw(tmp_path, capsys, g5):
     path = tmp_path / "a.edges"
     write_edge_set(path, basis_subset(g5, 2))
     out_path = tmp_path / "fig.svg"
     for argv in (["svg", "--in", str(path), "--out", str(out_path)],
                  ["transversal", "--in", str(path), "--svg-out", str(out_path)]):
-        code, out, err = run(capsys, *argv, "--unit-px", "1e308")
-        assert code == 2
-        assert err.startswith("error:") and "too large to draw" in err
-        assert out == ""
-        assert not out_path.exists()
+        assert_unit_px_refused(capsys, [*argv, "--unit-px", "1e308"], out_path)
 
 
 def test_transversal_refuses_a_figure_path_before_reporting(tmp_path, capsys, g5):
@@ -430,13 +426,8 @@ def test_transversal_rejects_bad_unit_before_reporting(tmp_path, capsys, g5):
     path = tmp_path / "a.edges"
     write_edge_set(path, basis_subset(g5, 2))
     svg_path = tmp_path / "fig.svg"
-    code, out, err = run(
-        capsys, "transversal", "--in", str(path), "--svg-out", str(svg_path), "--unit-px", "nan"
-    )
-    assert code == 2
-    assert "unit must be a finite length > 0" in err
-    assert out == ""
-    assert not svg_path.exists()
+    argv = ["transversal", "--in", str(path), "--svg-out", str(svg_path), "--unit-px", "nan"]
+    assert_unit_px_refused(capsys, argv, svg_path)
 
 
 def test_oracle_command(capsys):
@@ -479,7 +470,7 @@ def test_repeated_calls_match_fresh_parser(tmp_path, capsys, g5):
     calls = [
         ["basis", "--n", "6", "--i", "3", "--out", p["b.edges"]],
         ["verify", "--in", p["b.edges"]],
-        ["svg", "--in", p["b.edges"], "--out", p["f.svg"], "--unit-px", "7.5"],
+        ["svg", "--in", p["b.edges"], "--out", p["f.svg"]],
         ["transversal", "--in", p["d.edges"], "--c1", p["c1.cycle"], "--c2", p["c2.cycle"],
          "--svg-out", p["f.svg"]],
         ["transversal", "--in", p["b.edges"]],

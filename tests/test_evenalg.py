@@ -164,8 +164,9 @@ def test_oracle_vectors_are_totally_even_and_decomposable(n):
 
 @pytest.mark.parametrize("n", range(1, 25))
 def test_oracle_matches_dense_elimination(n):
-    """The banded elimination finds the same pivots, so the same basis,
-    vector for vector and in order, as dense Gauss-Jordan elimination."""
+    """The transposed elimination, its null tags reduced to echelon form,
+    gives the same basis, vector for vector and in order, as dense
+    Gauss-Jordan elimination of the parity rows."""
     g = build_grid(n)
     basis, d = null_space_oracle(g)
     expected, expected_d = reference_null_space_oracle(g)
@@ -176,7 +177,8 @@ def test_oracle_matches_dense_elimination(n):
 @pytest.mark.parametrize("n", [64, 128])
 def test_oracle_past_dense_sizes(n):
     """Dense elimination had not finished at side 128 after 600 s; the
-    banded one keeps rows as narrow as the band and takes about 0.5 s."""
+    transposed one drops each pivot once no remaining edge can reach it
+    and takes about 0.2 s."""
     g = build_grid(n)
     with deadline(20):
         t0 = time.perf_counter()

@@ -425,6 +425,24 @@ def test_foreign_edge_rejected(g2, g5):
         g2.face_index(Face(Vertex(1, 2), False))
 
 
+@pytest.mark.parametrize(
+    "lookup, want",
+    [
+        (lambda g: g.vertex_index((1, 1)), r"^expected a Vertex, got \(1, 1\)$"),
+        (lambda g: g.vertex_index(Face(Vertex(1, 1), True)), r"^expected a Vertex, got up@\(1,1\)$"),
+        (lambda g: g.face_index((1, 1)), r"^expected a Face, got \(1, 1\)$"),
+        (lambda g: g.face_index(Vertex(1, 1)), r"^expected a Face, got \(1,1\)$"),
+    ],
+    ids=["vertex-tuple", "vertex-face", "face-tuple", "face-vertex"],
+)
+def test_index_lookups_refuse_other_types(g2, lookup, want):
+    """As ``edge_index`` refuses a non-Edge, ``vertex_index`` and
+    ``face_index`` refuse what is no Vertex or Face, not with an
+    AttributeError."""
+    with pytest.raises(InvalidInputError, match=want):
+        lookup(g2)
+
+
 def test_edge_between_accepts_either_order(g5):
     e = g5.edge_between((3, 2), (2, 3))
     assert e == g5.edge_between((2, 3), (3, 2))
